@@ -8,9 +8,15 @@ volume on a star-shaped body is computed in polar coordinates,
 
 with F expressed through the regularized lower incomplete gamma function.
 For n = 2, F(s) = 1 - e^{-s^2/2} and the quadrature is the periodic
-trapezoid rule on uniform angles.  An independent Monte Carlo route (the
-fraction of standard normal draws landing inside the body) cross-checks the
-quadrature and is the only volume route offered for dimension >= 3.
+trapezoid rule on uniform angles.  For a polygon the polar integral has a
+closed form instead: the sector of angles seen by one edge at distance h
+has mass (width)/2pi minus a difference of two values of Owen's T function
+T(h, a) (Owen 1956), evaluated by scipy.special.owens_t (the Patefield-Tandy
+algorithm).  This exact route is accurate to about 1e-15 relative; for tiny
+bodies the per-sector cancellation leaves an absolute error near 1e-17.  An
+independent Monte Carlo route (the fraction of standard normal draws landing
+inside the body) cross-checks both and is the only volume route offered for
+dimension >= 3.
 
 The surface area measure of a polygon concentrates on its edge normals; the
 mass of an edge at distance h from the origin is the exact one-dimensional
@@ -136,30 +142,24 @@ def gauss_volume(body: SupportPolygon, resolution: int = 4096) -> float:
     return float(np.mean(-np.expm1(-0.5 * rho * rho)))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-
 def gauss_volume_exact(body: SupportPolygon) -> float:
-    """Gaussian volume by per-edge angular sector integrals.
+    """Gaussian volume of a polygon as a sum of closed-form sector masses.
 
-    Within the sector of edge j the radial function is h_j / cos(theta -
-    phi_j), analytic, so fixed-order Gauss-Legendre per sector evaluates the
-    polar integral to rounding accuracy.  The derivative of this value in a
-    support coordinate is exactly the edge's Gaussian mass, which makes the
-    pair (this volume, the edge-mass gradient) consistent for optimization;
-    the trapezoid route in :func:`gauss_volume` stays the general-purpose
-    estimator and agrees with this one to its own O(resolution^-2) error.
+    The rays at angles phi_j + [lo_j, hi_j] hit edge j at radius h_j / cos,
+    and x = tan(angle) turns the polar integral over that sector into
+    (hi_j - lo_j)/2pi - (T(h_j, tan hi_j) - T(h_j, tan lo_j)), with Owen's T
+    function from scipy.special.owens_t.  Accurate to about 1e-15 relative;
+    on tiny bodies the two terms nearly cancel, leaving an absolute error
+    near 1e-17.  The derivative in a support coordinate is exactly the edge's
+    Gaussian mass, so this volume and the edge-mass gradient are consistent
+    for optimization; :func:`gauss_volume` agrees to its O(resolution^-2).
     """
     phi = body.normal_angles
     beta = np.arctan2(body.vertices[:, 1], body.vertices[:, 0])
     hi = np.mod(beta - phi + math.pi, TWO_PI) - math.pi            # in (-pi/2, pi/2)
     lo = np.mod(np.roll(beta, 1) - phi + math.pi, TWO_PI) - math.pi
-    half_width = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
-    delta = center[:, None] + half_width[:, None] * _GL_NODES[None, :]
-    rho = body.support[:, None] / np.cos(delta)
-    vals = -np.expm1(-0.5 * rho * rho) @ _GL_WEIGHTS
-    return float(np.sum(half_width * vals) / TWO_PI)
+    owen = special.owens_t(body.support, np.tan([hi, lo]))
+    return float(np.sum((hi - lo) / TWO_PI - (owen[0] - owen[1])))
 
 
 def scale_to_gauss_volume(body: SupportPolygon, target: float = 0.5) -> SupportPolygon:

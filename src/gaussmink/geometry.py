@@ -216,13 +216,21 @@ class SupportPolygon:
         return self.support[e] / denom
 
 
-def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
-    """Canonical Wulff reduction.
+def _left_turns(ux, uy, vx, vy):
+    """Edge u turns left into edge v beyond the collinearity tolerance."""
+    return ux * vy - uy * vx > _COLLINEAR_TOL * (np.hypot(ux, uy) * np.hypot(vx, vy))
 
-    Returns (kept, vertices): indices into the angle-sorted deduplicated
-    constraint list that survive redundancy removal (sorted by angle,
-    starting at the smallest), plus the polygon vertices, and the mapping
-    back to the caller's constraint indices.
+
+def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
+    """Canonical Wulff reduction: (kept, normals, support, vertices).
+
+    kept holds the caller's indices of the surviving constraints by angle.
+    Redundancy removal is the convex hull of the polar points nu_i / h_i,
+    sorted by angle about the origin.  All points but the anchor (the
+    farthest, on the hull) get the left-turn test at once; then the first
+    failing point is dropped and its neighbours retested until none fails.
+    A Graham scan from the anchor drops that point first too, so points near
+    collinear are decided exactly as the scan decides them.
     """
     normals = _as_unit_rows(normals)
     support = np.asarray(support, dtype=float)
@@ -251,29 +259,31 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
             "normals are contained in a closed halfplane; the intersection is unbounded"
         )
 
-    # Redundancy removal = convex hull of the polar points nu_i / h_i,
-    # which are already sorted by angle about the interior origin point.
     q = nor_d / sup_d[:, None]
     m = len(q)
-    start = int(np.argmax(np.einsum("ij,ij->i", q, q)))  # farthest point is on the hull
-    rot = (np.arange(m) + start) % m
-    qr = q[rot]
+    rot = (np.arange(m) + int(np.argmax(np.einsum("ij,ij->i", q, q)))) % m
+    pts = q[rot]
+    u = pts - pts[np.arange(-1, m - 1)]  # u[j] = p_j - p_{j-1}
+    ok = _left_turns(*u.T, *u[np.arange(1, m + 1) % m].T).tolist()
+    ok[0] = True
+    x, y = pts.T.tolist()
+    prev, succ = [m - 1, *range(m - 1)], [*range(1, m), 0]
+    kept_local, alive = np.ones(m, dtype=bool), m
+    todo = [j for j in range(m - 1, 0, -1) if not ok[j]]  # first failure on top
+    while todo and alive >= 3:  # the scan stops closing the hull at 2 points
+        j = todo.pop()
+        if ok[j]:
+            continue  # dropped already, or passes since its neighbours changed
+        ok[j], kept_local[j], alive = True, False, alive - 1
+        a, c = prev[j], succ[j]
+        succ[a], prev[c] = c, a
+        for k in filter(None, (c, a)):  # new failures precede older ones
+            b, e = prev[k], succ[k]
+            ok[k] = bool(_left_turns(x[k] - x[b], y[k] - y[b], x[e] - x[k], y[e] - y[k]))
+            if not ok[k]:
+                todo.append(k)
 
-    def left_turn(a, b, c) -> bool:
-        u, v = b - a, c - b
-        cross = u[0] * v[1] - u[1] * v[0]
-        return cross > _COLLINEAR_TOL * (np.hypot(*u) * np.hypot(*v))
-
-    stack = [0]
-    for j in range(1, m):
-        while len(stack) >= 2 and not left_turn(qr[stack[-2]], qr[stack[-1]], qr[j]):
-            stack.pop()
-        stack.append(j)
-    while len(stack) >= 3 and not left_turn(qr[stack[-2]], qr[stack[-1]], qr[0]):
-        stack.pop()
-
-    kept_local = np.sort(rot[np.array(stack)])
-    kept = idx[kept_local]         # original indices, ascending angle
+    kept = idx[np.sort(rot[kept_local])]  # original indices, ascending angle
     nu_k = normals[kept]
     h_k = support[kept]
     vertices = _intersect_lines(nu_k, h_k, np.roll(nu_k, -1, axis=0), np.roll(h_k, -1))
@@ -471,9 +481,21 @@ class DiscreteMeasure:
     def is_even(self, tol: float = 1e-9) -> bool:
         """True when atoms come in antipodal pairs of equal mass."""
         d, m = self.directions, self.masses
-        dist = np.linalg.norm(d[:, None, :] + d[None, :, :], axis=2)
-        partner = np.argmin(dist, axis=1)
-        if np.any(dist[np.arange(len(d)), partner] > tol):
+        if self.dimension == 2:
+            # The atom nearest to -d_i is one of the two whose angles bracket
+            # the antipodal angle, so a sort finds it in O(k log k).
+            ang = _angles_of(d)
+            order = np.argsort(ang)
+            pos = np.searchsorted(ang[order], np.mod(ang + math.pi, TWO_PI))
+            cand = order[np.stack([pos - 1, pos % len(d)])]
+            dist = np.linalg.norm(d[None, :, :] + d[cand], axis=2)
+            pick = np.argmin(dist, axis=0)
+            partner, gap = cand[pick, np.arange(len(d))], dist.min(axis=0)
+        else:
+            dist = np.linalg.norm(d[:, None, :] + d[None, :, :], axis=2)
+            partner = np.argmin(dist, axis=1)
+            gap = dist[np.arange(len(d)), partner]
+        if np.any(gap > tol):
             return False
         return bool(np.all(np.abs(m - m[partner]) <= tol * np.maximum(m, m[partner])))
 
@@ -482,19 +504,29 @@ def hemisphere_margin(mu: DiscreteMeasure, resolution: int = 4096) -> float:
     """min over test directions e of sum_i m_i (e . v_i)_+ .
 
     A positive margin certifies that the measure is not concentrated on any
-    closed hemisphere.  In the plane, e -> sum m_i (e . v_i)_+ is piecewise
-    trigonometric with breakpoints at the directions perpendicular to atoms
-    and attains its minimum at one of them, so the grid is augmented with
-    those breakpoints and the planar margin is exact; for n >= 3 the value
-    is a grid minimum.
+    closed hemisphere.  In the plane, e -> sum m_i (e . v_i)_+ is a
+    nonnegative sinusoid, hence concave, between consecutive breakpoints (the
+    directions perpendicular to atoms), so its minimum lies at one of the 2k
+    breakpoints.  There the open half circle of atoms with e . v_i > 0 is a
+    cyclic window of the angle-sorted atoms, summed from prefix sums, and the
+    planar margin is exact in O(k log k) time and O(k) memory.  For n >= 3
+    the value is a minimum over `resolution` grid directions.
     """
-    grid = make_direction_grid(mu.dimension, resolution)
-    nodes = grid.nodes
-    if mu.dimension == 2:
-        perp = np.column_stack([-mu.directions[:, 1], mu.directions[:, 0]])
-        nodes = np.vstack([nodes, perp, -perp])
-    dots = nodes @ mu.directions.T
-    return float(np.min(np.clip(dots, 0.0, None) @ mu.masses))
+    if mu.dimension != 2:
+        grid = make_direction_grid(mu.dimension, resolution)
+        return float(np.min(np.clip(grid.nodes @ mu.directions.T, 0.0, None) @ mu.masses))
+    ang = _angles_of(mu.directions)
+    order = np.argsort(ang)
+    ang = ang[order]
+    weighted = mu.masses[order, None] * mu.directions[order]
+    prefix = np.vstack([np.zeros((1, 2)), np.cumsum(np.vstack([weighted, weighted]), axis=0)])
+    # The window of e = (-sin s, cos s) is the open half circle (s, s + pi)
+    # of atom angles; breakpoints have s at an atom or at its antipode.
+    s = np.concatenate([ang, np.mod(ang + math.pi, TWO_PI)])
+    doubled = np.concatenate([ang, ang + TWO_PI])
+    inside = (prefix[np.searchsorted(doubled, s + math.pi, side="left")]
+              - prefix[np.searchsorted(doubled, s, side="right")])
+    return float(np.min(inside[:, 1] * np.cos(s) - inside[:, 0] * np.sin(s)))
 
 
 def check_hemisphere_condition(mu: DiscreteMeasure, epsilon: float = 1e-8,

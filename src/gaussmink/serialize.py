@@ -61,6 +61,28 @@ def _unit_rows(rows, what: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _weighted_entries(entries, what: str, key: str) -> tuple[list, np.ndarray]:
+    """Vectors and masses of a list of {key: [x, y], "mass": m} objects.
+
+    Raises ValueError naming the first entry of the wrong shape.
+    """
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"'{what}s' must be a nonempty JSON array")
+    for i, entry in enumerate(entries):
+        vector = entry.get(key) if isinstance(entry, dict) else None
+        if not (isinstance(vector, list) and len(vector) == 2
+                and all(map(_is_number, vector)) and _is_number(entry.get("mass"))):
+            raise ValueError(f"{what} {i} must be an object with a numeric "
+                             f"'{key}' pair [x, y] and a numeric 'mass', "
+                             f"got {json.dumps(entry)}")
+    return ([entry[key] for entry in entries],
+            np.array([entry["mass"] for entry in entries], dtype=float))
+
+
 def dumps_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -93,12 +115,9 @@ def measure_from_dict(data: dict) -> tuple[DiscreteMeasure, float]:
         raise ValueError("measure payload needs an 'atoms' key")
     if data.get("dimension", 2) != 2:
         raise ValueError("only planar measures are supported")
-    atoms = data["atoms"]
-    if not atoms:
-        raise ValueError("measure must have at least one atom")
-    directions = _unit_rows([a["direction"] for a in atoms], "directions")
-    masses = np.asarray([a["mass"] for a in atoms], dtype=float)
-    return DiscreteMeasure(2, directions, masses), float(data.get("p", 1.0))
+    vectors, masses = _weighted_entries(data["atoms"], "atom", "direction")
+    return (DiscreteMeasure(2, _unit_rows(vectors, "directions"), masses),
+            float(data.get("p", 1.0)))
 
 
 def edge_measure_to_dict(em: EdgeMeasure) -> dict:
@@ -110,12 +129,8 @@ def edge_measure_to_dict(em: EdgeMeasure) -> dict:
 def edge_measure_from_dict(data: dict) -> EdgeMeasure:
     if not isinstance(data, dict) or "edges" not in data:
         raise ValueError("edge measure payload needs an 'edges' key")
-    edges = data["edges"]
-    if not edges:
-        raise ValueError("edge measure must have at least one edge")
-    normals = _unit_rows([e["normal"] for e in edges], "normals")
-    masses = np.asarray([e["mass"] for e in edges], dtype=float)
-    return EdgeMeasure(normals, masses, float(data.get("p", 1.0)))
+    vectors, masses = _weighted_entries(data["edges"], "edge", "normal")
+    return EdgeMeasure(_unit_rows(vectors, "normals"), masses, float(data.get("p", 1.0)))
 
 
 def density_to_dict(values) -> dict:

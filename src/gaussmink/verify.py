@@ -43,6 +43,8 @@ from .geometry import (
 )
 
 UNIFORM_SLACK = 1e-6
+# Halvings of the variational check's t ladder before it reports failure.
+_MAX_T_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,9 @@ def check_variational_formula(body: SupportPolygon, f, p: float,
     equals (1/p) sum f_i^p per-edge L_p mass.  Forward differences at the
     given t values are Richardson-extrapolated (2 E(t/2) - E(t) cancels the
     O(t) term); the check passes when the extrapolated value matches the
-    measure side to 1e-4 relative.
+    measure side to 1e-4 relative.  When fewer than two t values keep every
+    facet of the body, the whole ladder is halved, at most
+    ``_MAX_T_HALVINGS`` times.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (body.num_edges,):
@@ -106,13 +110,20 @@ def check_variational_formula(body: SupportPolygon, f, p: float,
 
     slopes: dict[float, float] = {}
     skipped = []
-    for t in sorted(t_values, reverse=True):
-        h_t = (h**p + t * f**p) ** (1.0 / p)
-        body_t = wulff_shape(body.normals, h_t)
-        if body_t.num_edges < body.num_edges:
-            skipped.append(t)  # perturbation large enough to drop a facet
-            continue
-        slopes[t] = (gauss_volume_exact(body_t) - base) / t
+    ladder = sorted(t_values, reverse=True)
+    for _ in range(_MAX_T_HALVINGS + 1):
+        for t in ladder:
+            if t in slopes or t in skipped:
+                continue
+            h_t = (h**p + t * f**p) ** (1.0 / p)
+            body_t = wulff_shape(body.normals, h_t)
+            if body_t.num_edges < body.num_edges:
+                skipped.append(t)  # perturbation large enough to drop a facet
+                continue
+            slopes[t] = (gauss_volume_exact(body_t) - base) / t
+        if len(slopes) >= 2:
+            break
+        ladder = [0.5 * t for t in ladder]  # a shorter edge needs smaller steps
     if len(slopes) < 2:
         witness = json.dumps({"error": "not enough usable t values",
                               "skipped": skipped, "p": p})

@@ -95,6 +95,11 @@ class TestMeasureFormat:
             serialize.measure_from_dict({"dimension": 2, "atoms": []})
         with pytest.raises(ValueError):
             serialize.measure_from_dict({"dimension": 2})
+        with pytest.raises(ValueError, match="atom 1"):
+            serialize.measure_from_dict(
+                {"atoms": [{"direction": [1, 0], "mass": 1}, {"direction": [0, 1]}]})
+        with pytest.raises(ValueError, match="atom 0"):
+            serialize.measure_from_dict({"atoms": [1, 2]})
 
 
 class TestEdgeMeasureFormat:
@@ -107,6 +112,10 @@ class TestEdgeMeasureFormat:
     def test_payload_validation(self):
         with pytest.raises(ValueError):
             serialize.edge_measure_from_dict({"p": 1.0, "edges": []})
+        with pytest.raises(ValueError, match="edge 0"):
+            serialize.edge_measure_from_dict({"edges": [{"normal": [1, 0]}]})
+        with pytest.raises(ValueError, match="edge 0"):
+            serialize.edge_measure_from_dict({"edges": [[1, 0]]})
 
 
 class TestDensityFormat:
@@ -292,6 +301,17 @@ class TestSolveDiscreteCommand:
         err = capsys.readouterr().err
         assert "hemisphere" in err
         assert "without bound" in err
+
+    @pytest.mark.parametrize("atoms", [
+        [{"direction": [1, 0], "mass": 0.2}, {"direction": [-1, 0]}],
+        [1, 2],
+    ], ids=["missing-mass", "bare-numbers"])
+    def test_malformed_measure_is_invalid_input(self, tmp_path, capsys, atoms):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2, "p": 1.0, "atoms": atoms}))
+        assert main(["solve-discrete", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: atom ") and "Traceback" not in err
 
     def test_unreachable_tolerance_is_non_convergence(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

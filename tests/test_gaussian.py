@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import ndtri
 
 from gaussmink.gaussian import (
@@ -33,6 +34,7 @@ from gaussmink.gaussian import (
     std_normal_quantile,
 )
 from gaussmink.geometry import (
+    TWO_PI,
     SupportField,
     box_polygon,
     disc_polygon,
@@ -174,6 +176,7 @@ class TestGaussVolumeExact:
         assert gauss_volume_exact(K) == pytest.approx(gauss_volume(K, 65536), abs=3e-9)
 
     @given(st.integers(0, 10**6))
+    @example(163)  # fails unless the volume is exact to rounding
     @settings(max_examples=15, deadline=None)
     def test_derivative_is_edge_mass(self, seed):
         # moving one edge outward adds a Gaussian slab: d(volume)/dh_i = mass_i
@@ -186,6 +189,28 @@ class TestGaussVolumeExact:
             fd = (gauss_volume_exact(wulff_shape(K.normals, hp))
                   - gauss_volume_exact(wulff_shape(K.normals, hm))) / (2.0 * eps)
             assert fd == pytest.approx(masses[i], abs=1e-9)
+
+
+def sector_quad_volume(body):
+    """Gaussian volume by adaptive quadrature of each edge's polar sector."""
+    phi = body.normal_angles
+    beta = np.arctan2(body.vertices[:, 1], body.vertices[:, 0])
+    hi = np.mod(beta - phi + math.pi, TWO_PI) - math.pi
+    lo = np.mod(np.roll(beta, 1) - phi + math.pi, TWO_PI) - math.pi
+    total = 0.0
+    for h, a, b in zip(body.support, lo, hi):
+        total += integrate.quad(lambda d: -math.expm1(-0.5 * (h / math.cos(d)) ** 2),
+                                a, b, epsabs=1e-17, epsrel=1e-13, limit=200)[0]
+    return total / TWO_PI
+
+
+@pytest.mark.parametrize("body", [
+    box_polygon(1.0), box_polygon(1e-3), box_polygon(6.0), box_polygon(20.0, 0.05),
+    disc_polygon(1.1774, 512), random_body(0), random_body(1), random_body(2),
+    random_body(3, max_normals=12),
+], ids=["box1", "box1e-3", "box6", "thin-box", "disc512", "rand0", "rand1", "rand2", "rand3"])
+def test_exact_volume_matches_sector_quadrature(body):
+    assert abs(gauss_volume_exact(body) - sector_quad_volume(body)) <= 1e-14
 
 
 class TestGaussVolumeMc:

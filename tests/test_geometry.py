@@ -1,6 +1,7 @@
 """Polygon construction, duality, combinations, measures, direction grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmink.errors import ConvexityError, UnboundedBodyError
+from gaussmink.families import uniform_mgon_measure
 from gaussmink.geometry import (
+    TWO_PI,
     DiscreteMeasure,
     SupportField,
     box_polygon,
@@ -28,6 +31,8 @@ from gaussmink.geometry import (
     support_profile,
     wulff_shape,
 )
+from gaussmink.geometry import (_ANGLE_DEDUP_TOL, _COLLINEAR_TOL, _angles_of, _as_unit_rows,
+                                _intersect_lines, _reduce_halfplanes)
 
 
 def random_body(seed, max_normals=40):
@@ -43,6 +48,64 @@ def random_body(seed, max_normals=40):
         except ValueError:
             continue
     raise AssertionError("could not build a random body")
+
+
+def graham_reduce(normals, support):
+    """Reference Wulff reduction: a Graham scan over the polar points.
+
+    The scan runs from the farthest polar point (always on the hull) and pops
+    a point whenever it fails the left-turn test against its stack
+    predecessor and the next point.  Input validation is left to the library.
+    """
+    normals = _as_unit_rows(normals)
+    support = np.asarray(support, dtype=float)
+    ang = _angles_of(normals)
+    order = np.lexsort((support, ang))
+    keep_first = np.ones(len(order), dtype=bool)
+    keep_first[1:] = np.diff(ang[order]) > _ANGLE_DEDUP_TOL
+    idx = order[keep_first]
+    q = normals[idx] / support[idx][:, None]
+    m = len(q)
+    start = int(np.argmax(np.einsum("ij,ij->i", q, q)))
+    rot = (np.arange(m) + start) % m
+    qr = q[rot]
+
+    def left_turn(a, b, c) -> bool:
+        u, v = b - a, c - b
+        cross = u[0] * v[1] - u[1] * v[0]
+        return cross > _COLLINEAR_TOL * (np.hypot(*u) * np.hypot(*v))
+
+    stack = [0]
+    for j in range(1, m):
+        while len(stack) >= 2 and not left_turn(qr[stack[-2]], qr[stack[-1]], qr[j]):
+            stack.pop()
+        stack.append(j)
+    while len(stack) >= 3 and not left_turn(qr[stack[-2]], qr[stack[-1]], qr[0]):
+        stack.pop()
+
+    kept = idx[np.sort(rot[np.array(stack)])]
+    nu_k, h_k = normals[kept], support[kept]
+    return kept, _intersect_lines(nu_k, h_k, np.roll(nu_k, -1, axis=0), np.roll(h_k, -1))
+
+
+def reduction_input(seed, family):
+    """Halfplanes that stress the reduction's tolerance decisions.
+
+    random: generic normals and supports, many redundant; hexagon: support of
+    a hexagon plus 1e-9 noise, so the polar points lie within rounding of six
+    segments; collinear: sorted normals with h = 1 + U(0, 1e-11).
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 1000))
+    theta = rng.uniform(0.0, TWO_PI, m)
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    if family == "random":
+        return normals, rng.uniform(0.2, 3.0, m)
+    if family == "hexagon":
+        corner = np.pi / 3.0 * np.arange(6) + rng.uniform(0.0, 1.0)
+        hexagon = rng.uniform(0.5, 2.0) * np.column_stack([np.cos(corner), np.sin(corner)])
+        return normals, np.max(normals @ hexagon.T, axis=1) + rng.uniform(0.0, 1e-9, m)
+    return normals[np.argsort(theta)], 1.0 + rng.uniform(0.0, 1e-11, m)
 
 
 class TestWulffShape:
@@ -88,6 +151,21 @@ class TestWulffShape:
     def test_too_few_normals_rejected(self):
         with pytest.raises(ValueError):
             wulff_shape(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "hexagon", "collinear"]))
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_matches_graham_scan(self, seed, family):
+        normals, support = reduction_input(seed, family)
+        try:
+            want_kept, want_vertices = graham_reduce(normals, support)
+        except ValueError:
+            return  # too few distinct normals; the library rejects these too
+        try:
+            kept, _, _, vertices = _reduce_halfplanes(normals, support)
+        except UnboundedBodyError:
+            return  # the reference does not test boundedness
+        np.testing.assert_array_equal(kept, want_kept)
+        np.testing.assert_array_equal(vertices, want_vertices)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -320,6 +398,21 @@ class TestHemisphereCondition:
         assert hemisphere_margin(mu) == pytest.approx(0.86602540378443865, abs=1e-12)
         assert check_hemisphere_condition(mu, epsilon=0.5)
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_margin_is_the_minimum_over_breakpoints_and_a_dense_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 40))
+        theta = rng.uniform(0.0, rng.choice([math.pi, TWO_PI]), k)
+        mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                             rng.uniform(0.1, 2.0, k))
+        grid = TWO_PI * np.arange(4096) / 4096
+        e = np.vstack([np.column_stack([np.cos(grid), np.sin(grid)]),
+                       np.column_stack([-np.sin(theta), np.cos(theta)]),
+                       np.column_stack([np.sin(theta), -np.cos(theta)])])
+        want = np.min(np.clip(e @ mu.directions.T, 0.0, None) @ mu.masses)
+        assert hemisphere_margin(mu) == pytest.approx(want, abs=1e-14 * mu.total_mass)
+
 
 class TestDiscreteMeasure:
     def test_duplicate_directions_rejected(self):
@@ -349,6 +442,18 @@ class TestDiscreteMeasure:
         theta = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
         tripod = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]), np.ones(3))
         assert not tripod.is_even()
+
+    def test_pre_solve_checks_use_linear_memory(self):
+        mu = uniform_mgon_measure(4096, 0.3)
+        tracemalloc.start()
+        try:
+            margin = hemisphere_margin(mu)
+            even = mu.is_even()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert even and margin > 0.0
+        assert peak < 16 * 2**20
 
 
 class TestDirectionGrid:
