@@ -1,22 +1,21 @@
 """Gaussian volume and (L_p-)Gaussian surface area of planar convex bodies.
 
-The standard Gaussian measure has density e^{-|x|^2/2} / (2 pi)^{n/2}.  Its
-volume on a star-shaped body is computed in polar coordinates,
+The standard Gaussian measure on the plane has density e^{-|x|^2/2} / 2pi.
+Its volume on a star-shaped body is computed in polar coordinates,
 
-    gamma_n(K) = (surface quadrature) of F(rho_K(u)) / (2 pi)^{n/2},
-    F(s) = integral_0^s e^{-r^2/2} r^(n-1) dr,
+    gamma_2(K) = (1/2pi) integral (1 - e^{-rho_K(theta)^2/2}) dtheta,
 
-with F expressed through the regularized lower incomplete gamma function.
-For n = 2, F(s) = 1 - e^{-s^2/2} and the quadrature is the periodic
-trapezoid rule on uniform angles.  For a polygon the polar integral has a
-closed form instead: the sector of angles seen by one edge at distance h
-has mass (width)/2pi minus a difference of two values of Owen's T function
-T(h, a) (Owen 1956), evaluated by scipy.special.owens_t (the Patefield-Tandy
-algorithm).  This exact route is accurate to about 1e-15 relative; for tiny
-bodies the per-sector cancellation leaves an absolute error near 1e-17.  An
-independent Monte Carlo route (the fraction of standard normal draws landing
-inside the body) cross-checks both and is the only volume route offered for
-dimension >= 3.
+by the periodic trapezoid rule on uniform angles.  For a polygon the polar
+integral has a closed form instead: the sector of angles seen by one edge at
+distance h has mass (width)/2pi minus a difference of two values of Owen's T
+function T(h, a) (Owen 1956), evaluated by scipy.special.owens_t (the
+Patefield-Tandy algorithm).  This exact route is accurate to about 1e-15
+relative; for tiny bodies the per-sector cancellation leaves an absolute error
+near 1e-17.  An independent Monte Carlo route (the fraction of standard normal
+draws landing inside the body) cross-checks both.
+
+Ball volumes and the reference constants keep a dimension argument n, with
+gamma_n(r B) the regularized lower incomplete gamma function P(n/2, r^2/2).
 
 The surface area measure of a polygon concentrates on its edge normals; the
 mass of an edge at distance h from the origin is the exact one-dimensional
@@ -42,7 +41,6 @@ from scipy import special
 
 from .geometry import (
     TWO_PI,
-    DirectionGrid,
     DiscreteMeasure,
     SupportField,
     SupportPolygon,
@@ -51,9 +49,8 @@ from .geometry import (
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Ball's dimensional bound on total Gaussian surface area: 4 n^(1/4).
-def ball_surface_bound(n: int = 2) -> float:
-    return 4.0 * n**0.25
+# Ball's dimensional bound 4 n^(1/4) on total Gaussian surface area, at n = 2.
+BALL_SURFACE_BOUND = 4.0 * 2.0**0.25
 
 
 def std_normal_cdf(x):
@@ -101,22 +98,6 @@ def std_normal_quantile(q):
             break
         x = xn
     return float(x) if q_arr.ndim == 0 else x
-
-
-def radial_volume_kernel(s, n: int):
-    """F(s) = integral_0^s e^{-r^2/2} r^(n-1) dr.
-
-    Equals 2^(n/2-1) Gamma(n/2) P(n/2, s^2/2) with P the regularized lower
-    incomplete gamma function; for n = 2 this is 1 - e^{-s^2/2}.
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("radius must be nonnegative")
-    half = 0.5 * n
-    out = 2.0 ** (half - 1.0) * math.gamma(half) * special.gammainc(half, 0.5 * s * s)
-    return float(out) if out.ndim == 0 else out
 
 
 def ball_gauss_volume(r, n: int = 2):
@@ -196,59 +177,22 @@ def _inside_polygon(body: SupportPolygon, points: np.ndarray) -> np.ndarray:
     return dots <= body.support[e]
 
 
-def gauss_volume_mc(body: SupportPolygon, samples: int, seed: int,
-                    shards: int = 1) -> tuple[float, float]:
+def gauss_volume_mc(body: SupportPolygon, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo Gaussian volume: fraction of normal draws inside the body.
 
-    Sampling is split into `shards` streams with seeds derived from `seed`
-    via SeedSequence.spawn, each consumed in fixed-size chunks, so results
-    are bit-identical for a fixed (seed, samples, shards) triple regardless
-    of scheduling.  Returns (estimate, binomial standard error).
+    Draws come from the first child of SeedSequence(seed), consumed in
+    fixed-size chunks, so results are bit-identical for a fixed (seed,
+    samples) pair.  Returns (estimate, binomial standard error).
     """
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
-    if shards < 1:
-        raise ValueError("shard count must be positive")
-    children = np.random.SeedSequence(seed).spawn(shards)
-    base, extra = divmod(samples, shards)
-    hits = 0
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        remaining = base + (1 if i < extra else 0)
-        while remaining > 0:
-            chunk = min(remaining, 262_144)
-            pts = rng.standard_normal((chunk, 2))
-            hits += int(np.count_nonzero(_inside_polygon(body, pts)))
-            remaining -= chunk
-    phat = hits / samples
-    stderr = math.sqrt(phat * (1.0 - phat) / samples)
-    return phat, stderr
-
-
-def gauss_volume_mc_grid(grid: DirectionGrid, support, samples: int, seed: int,
-                         shards: int = 1) -> tuple[float, float]:
-    """Monte Carlo Gaussian volume of {x : x . v_i <= h_i} for a support-grid
-    body in any dimension (the only volume route offered for n >= 3)."""
-    h = np.asarray(support, dtype=float)
-    if h.shape != (grid.resolution,):
-        raise ValueError("one support value per grid node required")
-    if np.any(h <= 0.0):
-        raise ValueError("support values must be positive")
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
-    children = np.random.SeedSequence(seed).spawn(max(shards, 1))
-    base, extra = divmod(samples, max(shards, 1))
-    nodes_t = grid.nodes.T
-    hits = 0
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        remaining = base + (1 if i < extra else 0)
-        while remaining > 0:
-            chunk = min(remaining, 65_536)
-            pts = rng.standard_normal((chunk, grid.dimension))
-            inside = np.all(pts @ nodes_t <= h[None, :], axis=1)
-            hits += int(np.count_nonzero(inside))
-            remaining -= chunk
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    hits, remaining = 0, samples
+    while remaining > 0:
+        chunk = min(remaining, 262_144)
+        pts = rng.standard_normal((chunk, 2))
+        hits += int(np.count_nonzero(_inside_polygon(body, pts)))
+        remaining -= chunk
     phat = hits / samples
     stderr = math.sqrt(phat * (1.0 - phat) / samples)
     return phat, stderr
@@ -259,8 +203,8 @@ class EdgeMeasure:
     """Surface area measure of a polygon: one (normal, mass) pair per edge.
 
     Masses are nonnegative (zero marks an edge the measure does not see).
-    For p = 1 the total cannot exceed Ball's bound 4 n^(1/4); construction
-    enforces this with a 1e-9 slack.
+    For p = 1 the total cannot exceed Ball's bound 4 n^(1/4) at n = 2;
+    construction enforces this with a 1e-9 slack.
     """
 
     normals: np.ndarray
@@ -274,10 +218,10 @@ class EdgeMeasure:
             raise ValueError("one mass per edge normal required")
         if np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
             raise ValueError("edge masses must be nonnegative and finite")
-        if self.p_exponent == 1.0 and masses.sum() > ball_surface_bound(2) + 1e-9:
+        if self.p_exponent == 1.0 and masses.sum() > BALL_SURFACE_BOUND + 1e-9:
             raise ValueError(
                 f"total Gaussian surface area {masses.sum():.9g} exceeds the "
-                f"dimensional bound {ball_surface_bound(2):.9g}"
+                f"dimensional bound {BALL_SURFACE_BOUND:.9g}"
             )
         normals.setflags(write=False)
         masses.setflags(write=False)

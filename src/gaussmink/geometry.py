@@ -16,9 +16,9 @@ Radial queries use the star-shaped decomposition about the origin: the ray at
 angle alpha hits the unique edge whose vertex-angle sector contains alpha, so
 lookups are a binary search over vertex angles rather than a scan over edges.
 
-Also here: direction grids (quadrature nodes on the sphere), discrete measures
-on the circle/sphere with the closed-hemisphere spanning test, and periodic
-support-function samples on the circle with their difference stencils.
+Also here: discrete measures on the circle with the closed-half-circle
+spanning test, and periodic support-function samples on the circle with their
+difference stencils.
 """
 
 from __future__ import annotations
@@ -51,79 +51,6 @@ def _as_unit_rows(vectors, tol: float = 1e-9) -> np.ndarray:
 def _angles_of(vectors: np.ndarray) -> np.ndarray:
     """Angles in [0, 2pi) of the rows of an (m, 2) array."""
     return np.mod(np.arctan2(vectors[:, 1], vectors[:, 0]), TWO_PI)
-
-
-def unit_vector(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
-@dataclass(frozen=True)
-class DirectionGrid:
-    """Quadrature nodes and weights on the unit sphere S^(n-1).
-
-    For n = 2 the nodes are the N equally spaced angles 2*pi*k/N and every
-    weight is 2*pi/N.  For n >= 3 the nodes are a deterministic quasi-uniform
-    point set with equal weights summing to the sphere's surface area.
-    """
-
-    dimension: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = _as_unit_rows(self.nodes, tol=_UNIT_TOL)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape[1] != self.dimension:
-            raise ValueError("node dimension mismatch")
-        if weights.shape != (nodes.shape[0],):
-            raise ValueError("one weight per node required")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def resolution(self) -> int:
-        return self.nodes.shape[0]
-
-
-def sphere_surface_area(n: int) -> float:
-    """Surface area of S^(n-1): 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def make_direction_grid(n: int, resolution: int, seed: int = 0) -> DirectionGrid:
-    """Build a direction grid on S^(n-1).
-
-    n = 2 uses the uniform angular partition.  n = 3 uses the Fibonacci
-    lattice; n >= 4 uses seeded normalized Gaussian draws.  Both carry equal
-    weights so the weights sum to the exact surface area.
-    """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if resolution < 4:
-        raise ValueError(f"resolution {resolution} too small (need at least 4)")
-    if n == 2:
-        theta = TWO_PI * np.arange(resolution) / resolution
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        weights = np.full(resolution, TWO_PI / resolution)
-        return DirectionGrid(2, nodes, weights)
-    area = sphere_surface_area(n)
-    if n == 3:
-        # Fibonacci lattice: quasi-uniform and deterministic.
-        k = np.arange(resolution)
-        z = 1.0 - (2.0 * k + 1.0) / resolution
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        nodes = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n, resolution)))
-        raw = rng.standard_normal((resolution, n))
-        nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    weights = np.full(resolution, area / resolution)
-    return DirectionGrid(n, nodes, weights)
 
 
 def _intersect_lines(nu_a, h_a, nu_b, h_b) -> np.ndarray:
@@ -311,29 +238,10 @@ def wulff_shape_with_indices(normals, support):
     return SupportPolygon(nu_k, h_k, vertices), kept
 
 
-def support_eval(body: SupportPolygon, v) -> float:
-    """Support function h_K(v) = max over vertices x of v . x, for unit v."""
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    return float(np.max(body.vertices @ v))
-
-
 def support_profile(body: SupportPolygon, directions) -> np.ndarray:
     """Support function on an (R, 2) array of unit directions (vectorized)."""
     d = _as_unit_rows(directions)
     return np.max(d @ body.vertices.T, axis=1)
-
-
-def radial_eval(body: SupportPolygon, u) -> float:
-    """Radial function rho_K(u): distance to the boundary along unit u.
-
-    The hit edge realizes rho(u) * (u . nu) = h(nu).
-    """
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    return float(body.radial(math.atan2(u[1], u[0])))
 
 
 def polar_body(body: SupportPolygon) -> SupportPolygon:
@@ -418,15 +326,6 @@ def combine_bodies(K: SupportPolygon, L: SupportPolygon, a: float, b: float,
     return wulff_shape(directions, lp_combination(hK, hL, a, b, p))
 
 
-def hausdorff_distance(hK, hL) -> float:
-    """Sup-norm distance between two support samples on a shared grid."""
-    hK = np.asarray(hK, dtype=float)
-    hL = np.asarray(hL, dtype=float)
-    if hK.shape != hL.shape:
-        raise ValueError("support samples must share a grid")
-    return float(np.max(np.abs(hK - hL)))
-
-
 def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon,
                             resolution: int = 2048) -> float:
     """Hausdorff distance max_v |h_K(v) - h_L(v)| over a dense direction grid
@@ -441,7 +340,10 @@ def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon,
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite positive measure on the sphere given by (direction, mass) atoms."""
+    """Finite positive measure on the circle given by (direction, mass) atoms.
+
+    dimension is kept for the serialized format and must equal 2.
+    """
 
     dimension: int
     directions: np.ndarray
@@ -450,21 +352,18 @@ class DiscreteMeasure:
     def __post_init__(self):
         directions = _as_unit_rows(self.directions, tol=1e-9)
         masses = np.asarray(self.masses, dtype=float)
-        if directions.shape[1] != self.dimension:
+        if self.dimension != 2:
+            raise ValueError("only planar measures are supported")
+        if directions.shape[1] != 2:
             raise ValueError("direction dimension mismatch")
         if masses.shape != (directions.shape[0],):
             raise ValueError("one mass per direction required")
         if np.any(masses <= 0.0) or not np.all(np.isfinite(masses)):
             raise ValueError("masses must be positive and finite")
-        if self.dimension == 2:
-            ang = np.sort(_angles_of(directions))
-            gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
-            if len(ang) > 1 and gaps.min() <= _ANGLE_DEDUP_TOL:
-                raise ValueError("atom directions must be distinct")
-        else:
-            srt = directions[np.lexsort(directions.T)]
-            if len(srt) > 1 and np.min(np.max(np.abs(np.diff(srt, axis=0)), axis=1)) <= 1e-12:
-                raise ValueError("atom directions must be distinct")
+        ang = np.sort(_angles_of(directions))
+        gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
+        if len(ang) > 1 and gaps.min() <= _ANGLE_DEDUP_TOL:
+            raise ValueError("atom directions must be distinct")
         directions.setflags(write=False)
         masses.setflags(write=False)
         object.__setattr__(self, "directions", directions)
@@ -481,40 +380,31 @@ class DiscreteMeasure:
     def is_even(self, tol: float = 1e-9) -> bool:
         """True when atoms come in antipodal pairs of equal mass."""
         d, m = self.directions, self.masses
-        if self.dimension == 2:
-            # The atom nearest to -d_i is one of the two whose angles bracket
-            # the antipodal angle, so a sort finds it in O(k log k).
-            ang = _angles_of(d)
-            order = np.argsort(ang)
-            pos = np.searchsorted(ang[order], np.mod(ang + math.pi, TWO_PI))
-            cand = order[np.stack([pos - 1, pos % len(d)])]
-            dist = np.linalg.norm(d[None, :, :] + d[cand], axis=2)
-            pick = np.argmin(dist, axis=0)
-            partner, gap = cand[pick, np.arange(len(d))], dist.min(axis=0)
-        else:
-            dist = np.linalg.norm(d[:, None, :] + d[None, :, :], axis=2)
-            partner = np.argmin(dist, axis=1)
-            gap = dist[np.arange(len(d)), partner]
+        # The atom nearest to -d_i is one of the two whose angles bracket the
+        # antipodal angle, so a sort finds it in O(k log k).
+        ang = _angles_of(d)
+        order = np.argsort(ang)
+        pos = np.searchsorted(ang[order], np.mod(ang + math.pi, TWO_PI))
+        cand = order[np.stack([pos - 1, pos % len(d)])]
+        dist = np.linalg.norm(d[None, :, :] + d[cand], axis=2)
+        pick = np.argmin(dist, axis=0)
+        partner, gap = cand[pick, np.arange(len(d))], dist.min(axis=0)
         if np.any(gap > tol):
             return False
         return bool(np.all(np.abs(m - m[partner]) <= tol * np.maximum(m, m[partner])))
 
 
-def hemisphere_margin(mu: DiscreteMeasure, resolution: int = 4096) -> float:
-    """min over test directions e of sum_i m_i (e . v_i)_+ .
+def hemisphere_margin(mu: DiscreteMeasure) -> float:
+    """min over unit directions e of sum_i m_i (e . v_i)_+ .
 
     A positive margin certifies that the measure is not concentrated on any
-    closed hemisphere.  In the plane, e -> sum m_i (e . v_i)_+ is a
-    nonnegative sinusoid, hence concave, between consecutive breakpoints (the
-    directions perpendicular to atoms), so its minimum lies at one of the 2k
+    closed half circle.  e -> sum m_i (e . v_i)_+ is a nonnegative sinusoid,
+    hence concave, between consecutive breakpoints (the directions
+    perpendicular to atoms), so its minimum lies at one of the 2k
     breakpoints.  There the open half circle of atoms with e . v_i > 0 is a
     cyclic window of the angle-sorted atoms, summed from prefix sums, and the
-    planar margin is exact in O(k log k) time and O(k) memory.  For n >= 3
-    the value is a minimum over `resolution` grid directions.
+    margin is exact in O(k log k) time and O(k) memory.
     """
-    if mu.dimension != 2:
-        grid = make_direction_grid(mu.dimension, resolution)
-        return float(np.min(np.clip(grid.nodes @ mu.directions.T, 0.0, None) @ mu.masses))
     ang = _angles_of(mu.directions)
     order = np.argsort(ang)
     ang = ang[order]
@@ -529,10 +419,9 @@ def hemisphere_margin(mu: DiscreteMeasure, resolution: int = 4096) -> float:
     return float(np.min(inside[:, 1] * np.cos(s) - inside[:, 0] * np.sin(s)))
 
 
-def check_hemisphere_condition(mu: DiscreteMeasure, epsilon: float = 1e-8,
-                               resolution: int = 4096) -> bool:
+def check_hemisphere_condition(mu: DiscreteMeasure, epsilon: float = 1e-8) -> bool:
     """True iff the hemisphere margin exceeds epsilon (solver precondition)."""
-    return hemisphere_margin(mu, resolution) > epsilon
+    return hemisphere_margin(mu) > epsilon
 
 
 @dataclass(frozen=True)
@@ -546,7 +435,6 @@ class SupportField:
 
     resolution: int
     h: np.ndarray
-    p_exponent: float = 1.0
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)

@@ -61,7 +61,6 @@ class HomotopyOptions:
     t_step_min: float = 1e-4
     newton_tol: float = 1e-11
     newton_max_iters: int = 30
-    branch: str = "upper"
     r_star: float | None = None
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class HomotopyOptions:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be at least 1")
-        if self.branch != "upper":
-            raise ValueError("only the upper branch (volume > 1/2) is supported")
         if self.r_star is not None and not self.r_star > 0.0:
             raise ValueError("r_star override must be positive")
 
@@ -258,7 +255,7 @@ def newton_step(field: SupportField, f, p: float) -> SupportField:
     for _ in range(20):
         candidate = field.h - t * delta
         try:
-            trial = SupportField(field.resolution, candidate, field.p_exponent)
+            trial = SupportField(field.resolution, candidate)
         except (ConvexityError, ValueError):
             t *= 0.5
             continue

@@ -25,7 +25,7 @@ from .families import (
     random_polygon,
 )
 from .gaussian import (
-    ball_surface_bound,
+    BALL_SURFACE_BOUND,
     gauss_constants,
     gauss_surface_polygon,
     gauss_volume_exact,
@@ -267,7 +267,7 @@ def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:
 def check_ball_bound(K: SupportPolygon) -> CheckResult:
     """Dimensional cap on total Gaussian surface area: 4 n^(1/4) in the plane."""
     total = float(np.sum(gauss_surface_polygon(K).masses))
-    bound = ball_surface_bound(2)
+    bound = BALL_SURFACE_BOUND
     violation = total - bound
     witness = json.dumps({"total": total, "bound": bound,
                           "K": _body_witness(K)})

@@ -100,6 +100,9 @@ class TestMeasureFormat:
                 {"atoms": [{"direction": [1, 0], "mass": 1}, {"direction": [0, 1]}]})
         with pytest.raises(ValueError, match="atom 0"):
             serialize.measure_from_dict({"atoms": [1, 2]})
+        with pytest.raises(ValueError, match="planar"):
+            serialize.measure_from_dict(
+                {"dimension": 3, "atoms": [{"direction": [1, 0, 0], "mass": 1}]})
 
 
 class TestEdgeMeasureFormat:
@@ -312,6 +315,15 @@ class TestSolveDiscreteCommand:
         assert main(["solve-discrete", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: atom ") and "Traceback" not in err
+
+    def test_non_planar_measure_is_invalid_input(self, tmp_path, capsys):
+        data = serialize.measure_to_dict(square_surface_measure())
+        data["dimension"] = 3
+        path = tmp_path / "mu3.json"
+        path.write_text(serialize.dumps_json(data))
+        assert main(["solve-discrete", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: only planar measures are supported\n"
 
     def test_unreachable_tolerance_is_non_convergence(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

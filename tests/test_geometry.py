@@ -1,4 +1,4 @@
-"""Polygon construction, duality, combinations, measures, direction grids."""
+"""Polygon construction, duality, combinations, discrete measures, support fields."""
 
 import math
 import tracemalloc
@@ -20,14 +20,10 @@ from gaussmink.geometry import (
     combine_bodies,
     disc_polygon,
     field_to_polygon,
-    hausdorff_distance,
     hemisphere_margin,
     lp_combination,
-    make_direction_grid,
     polar_body,
-    radial_eval,
     scale_body,
-    support_eval,
     support_profile,
     wulff_shape,
 )
@@ -128,7 +124,7 @@ class TestWulffShape:
         dup_n = np.vstack([sq.normals, [[1.0, 0.0]]])
         dup_h = np.append(sq.support, 0.5)
         body = wulff_shape(dup_n, dup_h)
-        assert support_eval(body, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
+        assert support_profile(body, [[1.0, 0.0]])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_hexagon_circumradius(self):
         theta = 2.0 * np.pi * np.arange(6) / 6
@@ -193,22 +189,21 @@ class TestWulffShape:
 class TestSupportRadial:
     def test_square_support(self):
         sq = box_polygon(1.0)
-        assert support_eval(sq, [1.0, 0.0]) == pytest.approx(1.0)
         diag = [math.sqrt(0.5), math.sqrt(0.5)]
-        assert support_eval(sq, diag) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        h = support_profile(sq, [[1.0, 0.0], diag])
+        assert h[0] == pytest.approx(1.0)
+        assert h[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_square_radial(self):
         sq = box_polygon(1.0)
-        assert radial_eval(sq, [1.0, 0.0]) == pytest.approx(1.0)
-        diag = [math.sqrt(0.5), math.sqrt(0.5)]
-        assert radial_eval(sq, diag) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        rho = sq.radial([0.0, 0.25 * math.pi])
+        assert rho[0] == pytest.approx(1.0)
+        assert rho[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_non_unit_direction_rejected(self):
         sq = box_polygon(1.0)
         with pytest.raises(ValueError):
-            support_eval(sq, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            radial_eval(sq, [0.5, 0.0])
+            support_profile(sq, [[1.0, 1.0]])
 
     def test_disc_radial_close_to_radius(self):
         # circumscribed m-gon: rho in [r, r sec(pi/m)]
@@ -258,7 +253,7 @@ class TestPolarBody:
         P = polar_body(D)
         target = 1.0 / r
         tol = target * (1.0 / math.cos(math.pi / m) - 1.0) + 1e-12
-        assert abs(support_eval(P, [1.0, 0.0]) - target) <= tol
+        assert abs(support_profile(P, [[1.0, 0.0]])[0] - target) <= tol
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -334,32 +329,18 @@ class TestLpCombination:
         K = box_polygon(1.0, 2.0)
         L = box_polygon(0.5, 0.25)
         M = combine_bodies(K, L, 1.0, 1.0, 1.0)
-        assert support_eval(M, [1.0, 0.0]) == pytest.approx(1.5, abs=1e-12)
-        assert support_eval(M, [0.0, 1.0]) == pytest.approx(2.25, abs=1e-12)
+        np.testing.assert_allclose(support_profile(M, [[1.0, 0.0], [0.0, 1.0]]),
+                                   [1.5, 2.25], atol=1e-12)
 
 
 class TestHausdorff:
-    def test_identical_zero(self):
-        h = np.array([1.0, 2.0, 3.0])
-        assert hausdorff_distance(h, h) == 0.0
-
-    def test_concentric_balls(self):
-        h1 = np.full(64, 1.0)
-        h2 = np.full(64, 2.0)
-        assert hausdorff_distance(h1, h2) == pytest.approx(1.0)
-
     def test_square_vs_disc_on_facet_normals_only(self):
         sq = box_polygon(1.0)
-        on_facets = support_profile(sq, sq.normals)
-        assert hausdorff_distance(on_facets, np.ones(4)) == 0.0
+        np.testing.assert_array_equal(support_profile(sq, sq.normals), np.ones(4))
         theta = 2.0 * np.pi * np.arange(256) / 256
         dense = np.column_stack([np.cos(theta), np.sin(theta)])
-        gap = hausdorff_distance(support_profile(sq, dense), np.ones(256))
+        gap = np.max(np.abs(support_profile(sq, dense) - 1.0))
         assert gap == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hausdorff_distance(np.ones(3), np.ones(4))
 
     def test_body_distance_scale(self):
         # sup_v |h_K - s h_K| = (s-1) max_v h_K = (s-1) max vertex norm
@@ -428,6 +409,10 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(2, np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]), np.ones(3))
 
+    def test_non_planar_dimension_rejected(self):
+        with pytest.raises(ValueError, match="planar"):
+            DiscreteMeasure(3, np.eye(3), np.ones(3))
+
     def test_evenness_detection(self):
         even = DiscreteMeasure(
             2, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
@@ -456,46 +441,20 @@ class TestDiscreteMeasure:
         assert peak < 16 * 2**20
 
 
-class TestDirectionGrid:
-    def test_planar_grid(self):
-        g = make_direction_grid(2, 16)
-        assert g.resolution == 16
-        np.testing.assert_allclose(g.weights, 2.0 * np.pi / 16.0)
-        np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0)
-
-    def test_minimum_resolution(self):
-        with pytest.raises(ValueError):
-            make_direction_grid(2, 3)
-
-    def test_sphere_grid_weights(self):
-        g = make_direction_grid(3, 500)
-        assert g.weights.sum() == pytest.approx(4.0 * np.pi)
-        np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0)
-        # Fibonacci nodes are quasi-uniform: mean position near the origin
-        assert np.linalg.norm(g.nodes.mean(axis=0)) <= 5e-3
-
-    def test_higher_dimension_deterministic(self):
-        g1 = make_direction_grid(5, 128, seed=3)
-        g2 = make_direction_grid(5, 128, seed=3)
-        np.testing.assert_array_equal(g1.nodes, g2.nodes)
-        g3 = make_direction_grid(5, 128, seed=4)
-        assert np.max(np.abs(g1.nodes - g3.nodes)) > 1e-3
-
-
 class TestSupportField:
     def test_convexity_violation_flags_node(self):
         N = 64
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 1.0 + 0.9 * np.cos(8.0 * theta)  # (D2 h + h) dips negative
         with pytest.raises(ConvexityError) as exc:
-            SupportField(N, h, 1.0)
+            SupportField(N, h)
         assert 0 <= exc.value.node < N
         assert exc.value.value <= 0.0
 
     def test_differences_of_harmonic(self):
         N = 128
         theta = 2.0 * np.pi * np.arange(N) / N
-        fld = SupportField(N, 2.0 + 0.3 * np.cos(theta), 1.0)
+        fld = SupportField(N, 2.0 + 0.3 * np.cos(theta))
         # central difference of cos(theta) is -sin(theta) sin(step)/step exactly
         d = fld.first_difference()
         np.testing.assert_allclose(d, -0.3 * np.sin(theta) * np.sinc(2.0 / N), atol=1e-12)
@@ -504,11 +463,11 @@ class TestSupportField:
         N = 256
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 2.0 + 0.2 * np.cos(3.0 * theta)  # h'' + h = 2 - 1.6 cos > 0
-        fld = SupportField(N, h, 1.0)
+        fld = SupportField(N, h)
         P = field_to_polygon(fld)
         assert P.num_edges == N
         np.testing.assert_allclose(support_profile(P, P.normals), h, atol=1e-12)
 
     def test_positive_values_required(self):
         with pytest.raises(ValueError):
-            SupportField(64, np.full(64, -1.0), 1.0)
+            SupportField(64, np.full(64, -1.0))

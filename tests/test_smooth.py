@@ -219,8 +219,6 @@ class TestOptionsAndTrace:
         with pytest.raises(ValueError):
             HomotopyOptions(newton_tol=0.0)
         with pytest.raises(ValueError):
-            HomotopyOptions(branch="lower")
-        with pytest.raises(ValueError):
             HomotopyOptions(r_star=-1.0)
 
     def test_step_certification(self):
