@@ -7,18 +7,23 @@ exponent p > 0, minimize
 
 where [h] is the halfplane intersection with support numbers h on the atom
 directions.  A minimizer K satisfies mu = (lambda / p) S_p(K) for some
-lambda > 0, i.e. p m_i = lambda S_{p,i} on every atom whose facet survives;
-the solver recovers lambda by least squares and reports the worst relative
-defect of that relation.
+lambda > 0, i.e. p m_i = lambda S_{p,i} on every atom, since every atom of
+positive mass bounds a facet there; the solver recovers lambda by least
+squares and reports the worst relative defect of that relation.
 
-Method: augmented Lagrangian in the single volume constraint (penalty
-doubling across at most 12 outer rounds) with a projected-gradient inner
-loop (Barzilai-Borwein steps, nonmonotone backtracking, componentwise floor
-h >= h_min).  The constraint value is the per-sector exact Gaussian volume
-and its gradient is the vector of exact edge masses, so the pair is
-derivative-consistent and the inner problems are smooth away from facet
-births.  The solve is deterministic: it always starts from the ball
-h = r_half of Gaussian volume exactly 1/2.
+Method: Newton's method on the KKT system in (h, lambda),
+
+    p m_i h_i^(p-1) - lambda g_i(h) = 0,      gamma_2([h]) - 1/2 = 0,
+
+where g is the vector of exact Gaussian edge masses, the gradient of the
+exact per-sector volume.  With the atoms sorted by angle the Hessian of
+gamma_2 is cyclic tridiagonal, so a step costs two cyclic-tridiagonal solves
+and a scalar Schur complement for lambda.  Steps are halved until every atom
+keeps its facet and the residual norm decreases; the iteration stops at a
+scaled residual of 1e-13 or at the rounding floor, where no halving
+decreases it.  The solve is deterministic: it starts from the ball
+h = r_half of Gaussian volume exactly 1/2, or, for p < 1, where phi is not
+convex, from the solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
@@ -45,6 +50,7 @@ from .gaussian import (
     lp_gauss_surface_polygon,
 )
 from .geometry import (
+    TWO_PI,
     DiscreteMeasure,
     SupportPolygon,
     check_hemisphere_condition,
@@ -52,8 +58,11 @@ from .geometry import (
     wulff_shape_with_indices,
 )
 from .report import SolveReport
+from .smooth import solve_cyclic_tridiagonal
 
-H_MIN = 1e-6  # componentwise floor; guards h^(p-1) singularities for p < 1
+NEWTON_TOL = 1e-13   # scaled KKT residual at which Newton stops
+MAX_STEPS = 100      # Newton steps per exponent
+MAX_HALVINGS = 30    # step halvings before the rounding floor is declared
 
 
 @dataclass(frozen=True)
@@ -92,16 +101,21 @@ def volume_gradient(body: SupportPolygon) -> np.ndarray:
     return gauss_surface_polygon(body).masses
 
 
-def volume_gradient_for(normals, support) -> np.ndarray:
-    """Volume gradient aligned with an unreduced constraint list.
+def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
+    """Cyclic tridiagonal bands (sub, diag, sup) of d grad_i / d h_j.
 
-    Entries of normals whose halfplane is redundant at these support numbers
-    bound no facet and get gradient zero.
+    With E_i = e^{-|V_i|^2/2} / 2pi at the vertex V_i shared by edges i and
+    i+1, whose normals meet at the angle Delta_i,
+
+        d g_i / d h_{i+1} = E_i / sin Delta_i              (symmetric),
+        d g_i / d h_i     = -h_i g_i - E_i cot Delta_i - E_{i-1} cot Delta_{i-1}.
     """
-    body, kept = wulff_shape_with_indices(normals, support)
-    grad = np.zeros(np.atleast_2d(np.asarray(normals)).shape[0])
-    grad[kept] = volume_gradient(body)
-    return grad
+    nu, nxt = body.normals, np.roll(body.normals, -1, axis=0)
+    sin = nu[:, 0] * nxt[:, 1] - nu[:, 1] * nxt[:, 0]
+    e = np.exp(-0.5 * np.einsum("ij,ij->i", body.vertices, body.vertices)) / TWO_PI
+    sup = e / sin
+    e_cot = sup * np.einsum("ij,ij->i", nu, nxt)
+    return np.roll(sup, 1), -body.support * grad - e_cot - np.roll(e_cot, 1), sup
 
 
 def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
@@ -113,20 +127,17 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     |p m_i - lambda S_{p,i}| / (p m_i)).
     """
     sp = lp_gauss_surface_polygon(body, p)
-    body_angles = np.mod(np.arctan2(body.normals[:, 1], body.normals[:, 0]),
-                         2.0 * math.pi)
-    atom_angles = np.mod(np.arctan2(mu.directions[:, 1], mu.directions[:, 0]),
-                         2.0 * math.pi)
-    s = np.zeros(mu.num_atoms)
+    body_angles = np.mod(np.arctan2(body.normals[:, 1], body.normals[:, 0]), TWO_PI)
+    atom_angles = np.mod(np.arctan2(mu.directions[:, 1], mu.directions[:, 0]), TWO_PI)
+    # The facet nearest to atom i is one of the two whose angles bracket it.
     order = np.argsort(body_angles)
     pos = np.searchsorted(body_angles[order], atom_angles)
-    for i, q in enumerate(pos):
-        for j in (q - 1, q % len(order)):
-            k = order[j]
-            gap = abs(atom_angles[i] - body_angles[k])
-            if min(gap, 2.0 * math.pi - gap) <= 1e-9:
-                s[i] = sp.masses[k]
-                break
+    cand = order[np.stack([pos - 1, pos % len(order)])]
+    gap = np.abs(atom_angles - body_angles[cand])
+    gap = np.minimum(gap, TWO_PI - gap)
+    pick = np.argmin(gap, axis=0)
+    cols = np.arange(mu.num_atoms)
+    s = np.where(gap[pick, cols] <= 1e-9, sp.masses[cand[pick, cols]], 0.0)
     if not np.any(s > 0.0):
         raise ValueError("no atom matches a facet with positive mass")
     target = p * mu.masses
@@ -144,13 +155,12 @@ def _hemisphere_error(mu: DiscreteMeasure) -> HemisphereConditionError:
     )
 
 
-def solve_constrained(prob: VariationalProblem, max_outer: int = 12,
-                      max_inner: int = 4000) -> SolveReport:
+def solve_constrained(prob: VariationalProblem) -> SolveReport:
     """Minimize phi subject to the Gaussian volume constraint.
 
-    Raises HemisphereConditionError / MassBoundError for inputs outside the
-    solvable regime and SolverStallError (with the trace collected so far)
-    when the line search or the outer loop fails to converge.
+    Raises HemisphereConditionError for a measure concentrated on a closed
+    hemisphere and SolverStallError (with the objective trace) when Newton
+    stops short of the problem's tolerances.
     """
     mu, p = prob.mu, prob.p
     if not check_hemisphere_condition(mu, epsilon=1e-8):
@@ -163,64 +173,29 @@ def solve_constrained(prob: VariationalProblem, max_outer: int = 12,
     if not (mu.is_even() and mu.total_mass < constants.mass_bound):
         flags.append("no-uniqueness-certificate")
 
-    directions = mu.directions
-    masses = mu.masses
     k = mu.num_atoms
+    body, order = wulff_shape_with_indices(mu.directions, np.full(k, constants.r_half))
+    if len(order) < k:
+        raise SolverStallError(f"the start ball keeps {len(order)} of {k} facets: "
+                               "atom directions too close to resolve")
+    directions, masses = mu.directions[order], mu.masses[order]
+    trace = [float(masses @ body.support**p)]
+    steps = 0
+    # phi is convex for p >= 1 only; below that, start from the p = 1 body.
+    for q in ((1.0, p) if p < 1.0 else (p,)):
+        body, n, why = _newton_kkt(
+            directions, masses, q, prob.target_volume, body.support,
+            recover_multiplier(body, mu, q)[0], lambda h: trace.append(float(masses @ h**p)))
+        steps += n
 
-    def reduced(z):
-        return wulff_shape_with_indices(directions, z)
-
-    def constraint(z):
-        body, kept = reduced(z)
-        grad = np.zeros(k)
-        grad[kept] = volume_gradient(body)
-        return gauss_volume_exact(body) - prob.target_volume, grad, body
-
-    def lagrangian(z, lam_hat, rho):
-        c, cgrad, _ = constraint(z)
-        val = float(masses @ z**p) - lam_hat * c + 0.5 * rho * c * c
-        grad = p * masses * z ** (p - 1.0) - (lam_hat - rho * c) * cgrad
-        return val, grad, c
-
-    z = np.full(k, constants.r_half)
-    c0, cgrad0, _ = constraint(z)
-    phigrad0 = p * masses * z ** (p - 1.0)
-    lam_hat = float((phigrad0 @ cgrad0) / (cgrad0 @ cgrad0))
-    rho = 10.0 * max(1.0, abs(lam_hat))
-
-    objective_trace = [phi_objective(z, mu, p)]
-    total_inner = 0
-    prev_abs_c = math.inf
-    best: tuple | None = None
-
-    for outer in range(max_outer):
-        inner_tol = max(2e-12, 1e-5 * 0.1**outer)
-        z, inner_iters = _projected_bb(
-            lambda zz: lagrangian(zz, lam_hat, rho),
-            z, inner_tol, max_inner, objective_trace,
-        )
-        total_inner += inner_iters
-        c, _, body = constraint(z)
-        lam_hat -= rho * c
-        objective_trace.append(phi_objective(z, mu, p))
-
-        lam, stat = recover_multiplier(body, mu, p)
-        best = (z.copy(), body, c, lam, stat)
-        if abs(c) <= 0.1 * prob.volume_tol and stat <= 0.5 * prob.stationarity_tol:
-            break
-        if abs(c) > 0.25 * prev_abs_c:
-            rho *= 2.0
-        prev_abs_c = abs(c)
-
-    z, body, c, lam, stat = best
+    c = gauss_volume_exact(body) - prob.target_volume
+    lam, stat = recover_multiplier(body, mu, p)
     if abs(c) > prob.volume_tol or stat > prob.stationarity_tol:
         raise SolverStallError(
-            f"no convergence after {max_outer} outer rounds: |volume residual| "
+            f"Newton-KKT stopped after {steps} steps ({why}): |volume residual| "
             f"= {abs(c):.3g}, stationarity residual = {stat:.3g}",
-            trace=objective_trace,
+            trace=trace,
         )
-    if body.num_edges < k:
-        flags.append("facet-collapse")
     if lam <= 0.0:
         flags.append("nonpositive-multiplier")
     return SolveReport(
@@ -228,53 +203,58 @@ def solve_constrained(prob: VariationalProblem, max_outer: int = 12,
         multiplier=lam,
         volume_residual=c,
         stationarity_residual=stat,
-        iterations=total_inner,
+        iterations=steps,
         homotopy_trace=(),
         flags=tuple(flags),
-        objective_trace=tuple(objective_trace),
+        objective_trace=tuple(trace),
     )
 
 
-def _projected_bb(fun, z, tol, max_iter, trace):
-    """Projected gradient descent with Barzilai-Borwein steps.
+def _newton_kkt(directions, masses, p, target, h, lam, accepted):
+    """Damped Newton on the KKT system from (h, lam); h keeps every facet.
 
-    fun returns (value, gradient, constraint) of the augmented Lagrangian;
-    iterates are kept >= H_MIN componentwise.  Nonmonotone Armijo
-    backtracking (5-value memory) accepts steps.  When no halving yields a
-    certified decrease the objective has flattened to machine precision, so
-    the loop returns its current iterate and leaves the accept or reject
-    decision to the caller's residual checks.
+    directions are sorted by angle.  accepted(h) is called after every
+    accepted step.  Returns (body, steps, why Newton stopped).
     """
-    f, g, _ = fun(z)
-    memory = [f]
-    step = 1.0 / max(np.max(np.abs(g)), 1e-8)
-    it = 0
-    for it in range(1, max_iter + 1):
-        if np.max(np.abs(z - np.maximum(z - g, H_MIN))) <= tol:
-            break
-        f_ref = max(memory)
-        t = step
-        z_new = f_new = g_new = None
-        for _ in range(40):
-            cand = np.maximum(z - t * g, H_MIN)
-            d = cand - z
-            if not np.any(d):
-                t *= 0.5
-                continue
-            fc, gc, _ = fun(cand)
-            if fc <= f_ref + 1e-4 * float(g @ d):
-                z_new, f_new, g_new = cand, fc, gc
+
+    def evaluate(h, lam):
+        """(body, g, F_1, F_2, merit, scaled residual), or None off the guard."""
+        try:
+            body, kept = wulff_shape_with_indices(directions, h)
+        except ValueError:  # nonpositive support or an unbounded intersection
+            return None
+        if len(kept) < len(h):
+            return None  # facet guard: every atom keeps its edge
+        g, dphi = volume_gradient(body), p * masses * h ** (p - 1.0)
+        f1, f2 = dphi - lam * g, gauss_volume_exact(body) - target
+        merit = math.hypot(float(np.linalg.norm(f1 / (p * masses))), f2)
+        return body, g, f1, f2, merit, max(float(np.max(np.abs(f1) / dphi)), abs(f2))
+
+    state = evaluate(h, lam)
+    for steps in range(MAX_STEPS + 1):
+        body, g, f1, f2, merit, scaled = state
+        if scaled <= NEWTON_TOL:
+            return body, steps, f"scaled KKT residual at {NEWTON_TOL:g}"
+        if steps == MAX_STEPS:
+            return body, steps, f"step limit {MAX_STEPS}"
+        # A = diag(p (p-1) m h^(p-2)) - lambda Hess(gamma_2); solve
+        # [A -g; g^T 0] [dh; dlam] = -[F_1; F_2] by the Schur complement.
+        sub, diag, sup = _volume_hessian_bands(body, g)
+        diag = p * (p - 1.0) * masses * h ** (p - 2.0) - lam * diag
+        try:
+            x = solve_cyclic_tridiagonal(-lam * sub, diag, -lam * sup, -f1)
+            y = solve_cyclic_tridiagonal(-lam * sub, diag, -lam * sup, g)
+        except SolverStallError:
+            return body, steps, "singular KKT matrix"
+        dlam = -(f2 + g @ x) / (g @ y)
+        dh = x + dlam * y
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = evaluate(h + t * dh, lam + t * dlam)
+            if trial is not None and trial[4] < merit:
                 break
             t *= 0.5
-        if z_new is None:
-            break  # objective flat to rounding: no certifiable descent left
-        s = z_new - z
-        y = g_new - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-300 else min(1.0, 4.0 * t)
-        step = float(np.clip(step, 1e-10, 1e8))
-        z, f, g = z_new, f_new, g_new
-        memory.append(f)
-        if len(memory) > 5:
-            memory.pop(0)
-    return z, it
+        else:
+            return body, steps, "rounding floor: no step halving reduces the residual"
+        h, lam, state = h + t * dh, lam + t * dlam, trial
+        accepted(h)

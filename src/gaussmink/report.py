@@ -17,10 +17,10 @@ class SolveReport:
     volume_residual is gamma_2(body) minus the target; stationarity_residual
     is the worst relative per-atom defect of that relation (discrete path)
     or the final equation residual (smooth path).  homotopy_trace is empty
-    for the discrete path; objective_trace records the objective at each
-    accepted outer round of the discrete path and is empty for the smooth
-    one.  flags carry diagnostics such as "facet-collapse" or
-    "no-uniqueness-certificate".
+    for the discrete path; objective_trace records the objective phi at the
+    start and after each accepted Newton step of the discrete path (so it
+    has iterations + 1 entries) and is empty for the smooth one.  flags
+    carry diagnostics such as "no-uniqueness-certificate".
     """
 
     body: SupportPolygon | SupportField

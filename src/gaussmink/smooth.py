@@ -198,8 +198,10 @@ def _jacobian_bands(h: np.ndarray, step: float, p: float):
     return sub, diag, sup
 
 
-def _solve_cyclic_tridiagonal(sub, diag, sup, rhs):
+def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     """Direct solve of the periodic tridiagonal system via rank-one repair.
+
+    Shared by the smooth Newton step and the discrete Newton-KKT step.
 
     The wraparound corners J[0,n-1] = sub[0] and J[n-1,0] = sup[n-1] are
     split off as an outer product u v^T, the remaining band is factored with
@@ -222,18 +224,12 @@ def _solve_cyclic_tridiagonal(sub, diag, sup, rhs):
         u[n - 1] = corner_bot
         q = solve_banded((1, 1), band, u)
     except (LinAlgError, ValueError) as exc:
-        raise SolverStallError(
-            "singular linearization, likely an eigenvalue collision; "
-            "try a smaller continuation step"
-        ) from exc
+        raise SolverStallError("singular cyclic-tridiagonal system") from exc
     denom = 1.0 + q[0] + corner_top / gamma * q[n - 1]
     correction = (y[0] + corner_top / gamma * y[n - 1]) / denom
     delta = y - correction * q
     if abs(denom) < 1e-12 or not np.all(np.isfinite(delta)):
-        raise SolverStallError(
-            "singular linearization, likely an eigenvalue collision; "
-            "try a smaller continuation step"
-        )
+        raise SolverStallError("singular cyclic-tridiagonal system")
     return delta
 
 
@@ -248,7 +244,7 @@ def newton_step(field: SupportField, f, p: float) -> SupportField:
     defect = residual(field, f, p)
     base = float(np.max(np.abs(defect)))
     sub, diag, sup = _jacobian_bands(field.h, field.step, p)
-    delta = _solve_cyclic_tridiagonal(sub, diag, sup, defect)
+    delta = solve_cyclic_tridiagonal(sub, diag, sup, defect)
     if not np.any(delta):
         return field
     t = 1.0

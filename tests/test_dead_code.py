@@ -14,7 +14,6 @@ PACKAGE_DIR = Path(gaussmink.__file__).parent
 # name -> why it may stay without a caller in src/
 ALLOWED = {
     "families.random_spanning_measure": "input generator of the benchmark workloads",
-    "discrete.volume_gradient_for": "goes with the Newton-KKT rewrite of discrete.py",
 }
 
 

@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gaussmink.discrete import (
     VariationalProblem,
+    _volume_hessian_bands,
     phi_objective,
     recover_multiplier,
     solve_constrained,
     volume_gradient,
-    volume_gradient_for,
 )
 from gaussmink.errors import HemisphereConditionError, SolverStallError
+from gaussmink.families import random_spanning_measure
 from gaussmink.gaussian import (
     gauss_surface_polygon,
     gauss_volume_exact,
@@ -52,6 +53,23 @@ def half_volume_body(normals, support):
     return wulff_shape(normals, s * support)
 
 
+def random_full_polygon(seed, k=8):
+    """Sorted random normals and supports whose polygon keeps all k facets,
+    each at least 0.01 long, so a 1e-5 change of one support keeps them too."""
+    rng = np.random.default_rng(seed)
+    while True:
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        normals = np.column_stack([np.cos(theta), np.sin(theta)])
+        support = rng.uniform(0.8, 1.5, k)
+        try:
+            body = wulff_shape(normals, support)
+        except ValueError:
+            continue
+        edges = np.linalg.norm(body.vertices - np.roll(body.vertices, 1, axis=0), axis=1)
+        if body.num_edges == k and edges.min() > 0.01:
+            return normals, support
+
+
 def random_half_volume_body(seed, m_low=5, m_high=24):
     rng = np.random.default_rng(seed)
     for _ in range(60):
@@ -65,6 +83,15 @@ def random_half_volume_body(seed, m_low=5, m_high=24):
         except ValueError:
             continue
     raise AssertionError("no bounded random body found")
+
+
+def assert_solved(mu, p):
+    """The solve meets both tolerances and every atom keeps its facet."""
+    prob = VariationalProblem(mu, p)
+    rep = solve_constrained(prob)
+    assert abs(gauss_volume_exact(rep.body) - 0.5) <= prob.volume_tol
+    assert recover_multiplier(rep.body, mu, p)[1] <= prob.stationarity_tol
+    assert rep.body.num_edges == mu.num_atoms
 
 
 class TestPhiObjective:
@@ -98,26 +125,11 @@ class TestVolumeGradient:
         assert np.ptp(grad) <= 1e-14
         assert grad.sum() == pytest.approx(math.exp(-0.5), abs=1e-5)
 
-    def test_inactive_normal_gets_zero(self):
-        sq = box_polygon(1.0)
-        normals = np.vstack([sq.normals, [[math.sqrt(0.5), math.sqrt(0.5)]]])
-        support = np.append(sq.support, 2.0)  # far outside: redundant
-        grad = volume_gradient_for(normals, support)
-        np.testing.assert_allclose(grad[:4], SQUARE_EDGE_MASS, atol=1e-14)
-        assert grad[4] == 0.0
-
     @given(st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
     def test_finite_difference(self, seed):
-        rng = np.random.default_rng(seed)
-        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 8))
-        normals = np.column_stack([np.cos(theta), np.sin(theta)])
-        support = rng.uniform(0.8, 1.5, 8)
-        try:
-            wulff_shape(normals, support)
-        except ValueError:
-            return
-        grad = volume_gradient_for(normals, support)
+        normals, support = random_full_polygon(seed)
+        grad = volume_gradient(wulff_shape(normals, support))
         eps = 1e-5
         for i in range(8):
             hp = support.copy(); hp[i] += eps
@@ -125,6 +137,24 @@ class TestVolumeGradient:
             fd = (gauss_volume_exact(wulff_shape(normals, hp))
                   - gauss_volume_exact(wulff_shape(normals, hm))) / (2.0 * eps)
             assert abs(fd - grad[i]) <= 1e-6
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_hessian_bands_match_central_differences(self, seed):
+        normals, support = random_full_polygon(seed)
+        body = wulff_shape(normals, support)
+        sub, diag, sup = _volume_hessian_bands(body, volume_gradient(body))
+        eps = 1e-5
+        for j in range(8):
+            hp = support.copy(); hp[j] += eps
+            hm = support.copy(); hm[j] -= eps
+            col = (volume_gradient(wulff_shape(normals, hp))
+                   - volume_gradient(wulff_shape(normals, hm))) / (2.0 * eps)
+            band = np.zeros(8)
+            band[j] = diag[j]
+            band[(j + 1) % 8] = sub[(j + 1) % 8]
+            band[(j - 1) % 8] = sup[(j - 1) % 8]
+            np.testing.assert_allclose(col, band, rtol=1e-5, atol=1e-7)
 
 
 class TestRecoverMultiplier:
@@ -165,6 +195,26 @@ class TestRecoverMultiplier:
                              np.ones(3))
         with pytest.raises(ValueError):
             recover_multiplier(K, mu, 1.0)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_atom_loop(self, seed):
+        # reference: match each atom to a facet within 1e-9 in angle, one by one
+        K = random_half_volume_body(seed % 50)
+        rng = np.random.default_rng(seed)
+        extra = rng.uniform(0.0, 2.0 * np.pi, 3)
+        dirs = np.vstack([K.normals, np.column_stack([np.cos(extra), np.sin(extra)])])
+        mu = DiscreteMeasure(2, dirs, rng.uniform(0.05, 0.3, len(dirs)))
+        sp = lp_gauss_surface_polygon(K, 1.5).masses
+        s = np.zeros(mu.num_atoms)
+        for i, d in enumerate(mu.directions):
+            gap = np.abs(np.angle(complex(*d) / (K.normals[:, 0] + 1j * K.normals[:, 1])))
+            if gap.min() <= 1e-9:
+                s[i] = sp[np.argmin(gap)]
+        lam = (1.5 * mu.masses @ s) / (s @ s)
+        active = s > 0.0
+        worst = np.max(np.abs(1.5 * mu.masses - lam * s)[active] / (1.5 * mu.masses[active]))
+        assert recover_multiplier(K, mu, 1.5) == pytest.approx((lam, worst), rel=1e-12)
 
 
 class TestProblemValidation:
@@ -252,6 +302,25 @@ class TestSolveConstrained:
             h_star = support_profile(rep.body, mu.directions)
             assert trace[-1] == pytest.approx(
                 phi_objective(h_star, mu, 1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("seed, p", [(1015, 1.5), (1009, 3.0), (1008, 0.5)])
+    def test_spanning_measures_solved(self, seed, p):
+        assert_solved(random_spanning_measure(np.random.default_rng(seed), 20, 64), p)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-6])
+    def test_skewed_masses_solved(self, scale):
+        # one atom in three carries a mass scaled down by 1e-4 or 1e-6
+        mu = random_spanning_measure(np.random.default_rng(2000), 20, 64)
+        masses = mu.masses.copy()
+        masses[::3] *= scale
+        assert_solved(DiscreteMeasure(2, mu.directions, masses), 1.0)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1.5, 3.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_random_non_even_measures_solved(self, seed, p):
+        mu = random_spanning_measure(np.random.default_rng(seed), 4, 40)
+        assume(not mu.is_even())
+        assert_solved(mu, p)
 
     def test_hemisphere_violation_raises(self):
         theta = np.array([-1.2, -0.4, 0.3, 1.1])  # all within a halfplane

@@ -22,11 +22,11 @@ from gaussmink.smooth import (
     HomotopyStep,
     HomotopyTrace,
     _jacobian_bands,
-    _solve_cyclic_tridiagonal,
     constant_branch_start,
     linearized_guard,
     newton_step,
     residual,
+    solve_cyclic_tridiagonal,
     solve_homotopy,
 )
 
@@ -153,7 +153,7 @@ class TestJacobian:
             J[k, (k - 1) % n] = sub[k]
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(n)
-        x = _solve_cyclic_tridiagonal(sub, diag, sup, rhs)
+        x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
         np.testing.assert_allclose(x, np.linalg.solve(J, rhs), atol=1e-12)
 
     def test_constant_field_spectrum(self):
