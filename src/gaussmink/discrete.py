@@ -56,6 +56,7 @@ from .geometry import (
     check_hemisphere_condition,
     hemisphere_margin,
     wulff_shape_with_indices,
+    _rotate,
 )
 from .report import SolveReport
 from .smooth import solve_cyclic_tridiagonal
@@ -110,12 +111,12 @@ def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
         d g_i / d h_{i+1} = E_i / sin Delta_i              (symmetric),
         d g_i / d h_i     = -h_i g_i - E_i cot Delta_i - E_{i-1} cot Delta_{i-1}.
     """
-    nu, nxt = body.normals, np.roll(body.normals, -1, axis=0)
+    nu, nxt = body.normals, _rotate(body.normals, 1)
     sin = nu[:, 0] * nxt[:, 1] - nu[:, 1] * nxt[:, 0]
     e = np.exp(-0.5 * np.einsum("ij,ij->i", body.vertices, body.vertices)) / TWO_PI
     sup = e / sin
     e_cot = sup * np.einsum("ij,ij->i", nu, nxt)
-    return np.roll(sup, 1), -body.support * grad - e_cot - np.roll(e_cot, 1), sup
+    return _rotate(sup, -1), -body.support * grad - e_cot - _rotate(e_cot, -1), sup
 
 
 def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
@@ -248,13 +249,17 @@ def _newton_kkt(directions, masses, p, target, h, lam, accepted):
             return body, steps, "singular KKT matrix"
         dlam = -(f2 + g @ x) / (g @ y)
         dh = x + dlam * y
+        floor = "rounding floor: no step halving reduces the residual"
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            trial = evaluate(h + t * dh, lam + t * dlam)
+            h_t, lam_t = h + t * dh, lam + t * dlam
+            if lam_t == lam and np.array_equal(h_t, h):
+                return body, steps, floor  # every smaller t gives this same point
+            trial = evaluate(h_t, lam_t)
             if trial is not None and trial[4] < merit:
                 break
             t *= 0.5
         else:
-            return body, steps, "rounding floor: no step halving reduces the residual"
-        h, lam, state = h + t * dh, lam + t * dlam, trial
+            return body, steps, floor
+        h, lam, state = h_t, lam_t, trial
         accepted(h)

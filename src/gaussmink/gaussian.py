@@ -38,13 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.optimize import brentq
 
 from .geometry import (
     TWO_PI,
     DiscreteMeasure,
     SupportField,
     SupportPolygon,
+    scale_body,
     _as_unit_rows,
+    _rotate,
 )
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -73,20 +76,18 @@ def std_normal_pdf(x):
 def std_normal_quantile(q):
     """Psi(q) = Phi^{-1}(q) for q in (0,1), by safeguarded Newton on Phi.
 
-    Newton steps x <- x - (Phi(x) - q)/phi(x) are clipped to a shrinking
-    bisection bracket, so the iteration cannot escape and the bisection
-    fallback guarantees convergence; termination leaves |Phi(x) - q| at
-    rounding level (far below the 1e-12 contract).
+    Newton steps x <- x - (Phi(x) - q)/phi(x) from scipy's ndtri(q) are
+    clipped to a shrinking bisection bracket, so the iteration cannot escape
+    and the bisection fallback guarantees convergence; termination leaves
+    |Phi(x) - q| at rounding level (far below the 1e-12 contract).
     """
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr <= 0.0) or np.any(q_arr >= 1.0):
         raise ValueError("quantile argument must lie strictly between 0 and 1")
-    lo = np.full(q_arr.shape, -40.0)
-    hi = np.full(q_arr.shape, 40.0)
-    x = np.zeros(q_arr.shape)
+    lo, hi = np.full(q_arr.shape, -40.0), np.full(q_arr.shape, 40.0)
+    x = np.clip(special.ndtri(q_arr), -40.0, 40.0)
     for _ in range(120):
-        f = std_normal_cdf(x) - q_arr
-        f = np.asarray(f)
+        f = np.asarray(std_normal_cdf(x) - q_arr)
         lo = np.where(f < 0.0, x, lo)
         hi = np.where(f > 0.0, x, hi)
         step = f / np.maximum(std_normal_pdf(x), 1e-300)
@@ -135,37 +136,44 @@ def gauss_volume_exact(body: SupportPolygon) -> float:
     Gaussian mass, so this volume and the edge-mass gradient are consistent
     for optimization; :func:`gauss_volume` agrees to its O(resolution^-2).
     """
+    return _dilate_volume(body)(1.0)
+
+
+def _dilate_volume(body: SupportPolygon):
+    """The map s -> gamma_2(s K); sector angles are computed once, from K."""
     phi = body.normal_angles
     beta = np.arctan2(body.vertices[:, 1], body.vertices[:, 0])
     hi = np.mod(beta - phi + math.pi, TWO_PI) - math.pi            # in (-pi/2, pi/2)
-    lo = np.mod(np.roll(beta, 1) - phi + math.pi, TWO_PI) - math.pi
-    owen = special.owens_t(body.support, np.tan([hi, lo]))
-    return float(np.sum((hi - lo) / TWO_PI - (owen[0] - owen[1])))
+    lo = np.mod(_rotate(beta, -1) - phi + math.pi, TWO_PI) - math.pi
+    widths, tangents = (hi - lo) / TWO_PI, np.tan([hi, lo])
+
+    def volume(s: float) -> float:
+        owen = special.owens_t(s * body.support, tangents)
+        return float(np.sum(widths - (owen[0] - owen[1])))
+    return volume
 
 
 def scale_to_gauss_volume(body: SupportPolygon, target: float = 0.5) -> SupportPolygon:
     """Scalar rescale of a body so its Gaussian volume hits `target`.
 
     The map s -> gamma(s K) is strictly increasing from 0 to 1, so a
-    bracketed root-find on the scale factor always succeeds.
+    bracketed root-find on the scale factor always succeeds.  A dilation
+    preserves every angle, so the root-find evaluates only Owen's T at the
+    scaled supports s h and builds one body, at the root.
     """
-    from scipy.optimize import brentq
-
-    from .geometry import scale_body
-
     if not 0.0 < target < 1.0:
         raise ValueError("target volume must lie strictly between 0 and 1")
+    volume = _dilate_volume(body)
     lo, hi = 1.0, 1.0
-    while gauss_volume_exact(scale_body(body, lo)) > target:
+    while volume(lo) > target:
         lo *= 0.5
         if lo < 1e-12:
             raise ValueError("rescale bracket collapsed at the lower end")
-    while gauss_volume_exact(scale_body(body, hi)) < target:
+    while volume(hi) < target:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("rescale bracket collapsed at the upper end")
-    s = brentq(lambda u: gauss_volume_exact(scale_body(body, u)) - target,
-               lo, hi, xtol=1e-15, rtol=8.9e-16)
+    s = brentq(lambda u: volume(u) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return scale_body(body, s)
 
 
@@ -248,7 +256,7 @@ def _edge_tangential_extents(body: SupportPolygon) -> tuple[np.ndarray, np.ndarr
     """Signed tangential coordinates (t0, t1) of every edge's endpoints about
     the foot of the perpendicular from the origin; t0 < t1 in CCW order."""
     tau = np.column_stack([-body.normals[:, 1], body.normals[:, 0]])
-    start = np.roll(body.vertices, 1, axis=0)  # edge i runs V_{i-1} -> V_i
+    start = _rotate(body.vertices, -1)  # edge i runs V_{i-1} -> V_i
     t0 = np.einsum("ij,ij->i", start, tau)
     t1 = np.einsum("ij,ij->i", body.vertices, tau)
     return t0, t1
@@ -360,8 +368,6 @@ def gauss_constants(n: int, p: float) -> GaussConstants:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    from scipy.optimize import brentq
-
     r_half = float(brentq(lambda r: ball_gauss_volume(r, n) - 0.5, 1e-6, 40.0,
                           xtol=1e-14, rtol=8.9e-16))
     a_half = float(std_normal_quantile(0.75))

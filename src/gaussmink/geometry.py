@@ -24,7 +24,8 @@ difference stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +54,11 @@ def _angles_of(vectors: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(vectors[:, 1], vectors[:, 0]), TWO_PI)
 
 
+def _rotate(a: np.ndarray, k: int) -> np.ndarray:
+    """np.roll(a, -k, axis=0) for k = 1 or -1, without its overhead on short arrays."""
+    return np.concatenate([a[k:], a[:k]])
+
+
 def _intersect_lines(nu_a, h_a, nu_b, h_b) -> np.ndarray:
     """Intersection of x . nu_a = h_a and x . nu_b = h_b (arrays broadcast)."""
     det = nu_a[..., 0] * nu_b[..., 1] - nu_a[..., 1] * nu_b[..., 0]
@@ -74,9 +80,6 @@ class SupportPolygon:
     normals: np.ndarray
     support: np.ndarray
     vertices: np.ndarray
-    # Lookup tables for radial queries, derived in __post_init__.
-    _vertex_angles: np.ndarray = field(repr=False, default=None)
-    _sector_edges: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         normals = _as_unit_rows(self.normals, tol=_UNIT_TOL)
@@ -95,29 +98,22 @@ class SupportPolygon:
         # Vertex i must sit on the lines of edges i and i+1.
         scale = support.max()
         on_i = np.abs(np.einsum("ij,ij->i", vertices, normals) - support)
-        on_next = np.abs(
-            np.einsum("ij,ij->i", vertices, np.roll(normals, -1, axis=0))
-            - np.roll(support, -1)
-        )
+        on_next = np.abs(np.einsum("ij,ij->i", vertices, _rotate(normals, 1))
+                         - _rotate(support, 1))
         if max(on_i.max(), on_next.max()) > 1e-9 * max(scale, 1.0):
             raise ValueError("vertices do not lie on their edge lines")
-        for arr in (normals, support, vertices):
+        for name, arr in (("normals", normals), ("support", support), ("vertices", vertices)):
             arr.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "vertices", vertices)
-        # Sector table: the ray at angle alpha hits edge j when alpha lies
-        # between the angles of vertices j-1 and j.  Vertex angles increase
-        # cyclically; rotate so the table is sorted.
-        beta = _angles_of(vertices)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _sector_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex angles sorted from the smallest, and the edge each sector's rays
+        hit: edge j spans the sector between vertices j-1 and j (built lazily)."""
+        beta = _angles_of(self.vertices)
         k0 = int(np.argmin(beta))
-        sorted_beta = np.roll(beta, -k0)
-        # Sector i ends at the vertex of original index (k0 + i) mod m, and
-        # rays in it hit the edge with that same index (edge j spans the
-        # sector between vertices j-1 and j).
-        edge_of_sector = np.roll(np.arange(m), -k0)
-        object.__setattr__(self, "_vertex_angles", sorted_beta)
-        object.__setattr__(self, "_sector_edges", edge_of_sector)
+        edges = (np.arange(self.num_edges) + k0) % self.num_edges
+        return beta[edges], edges
 
     @property
     def num_edges(self) -> int:
@@ -130,9 +126,10 @@ class SupportPolygon:
     def edge_index(self, angles) -> np.ndarray:
         """Index of the edge hit by rays at the given angles (radians)."""
         alpha = np.mod(np.asarray(angles, dtype=float), TWO_PI)
-        pos = np.searchsorted(self._vertex_angles, alpha, side="left")
+        vertex_angles, sector_edges = self._sector_table
+        pos = np.searchsorted(vertex_angles, alpha, side="left")
         pos = np.where(pos == self.num_edges, 0, pos)
-        return self._sector_edges[pos]
+        return sector_edges[pos]
 
     def radial(self, angles) -> np.ndarray:
         """Radial function at the given ray angles (vectorized)."""
@@ -213,7 +210,7 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
     kept = idx[np.sort(rot[kept_local])]  # original indices, ascending angle
     nu_k = normals[kept]
     h_k = support[kept]
-    vertices = _intersect_lines(nu_k, h_k, np.roll(nu_k, -1, axis=0), np.roll(h_k, -1))
+    vertices = _intersect_lines(nu_k, h_k, _rotate(nu_k, 1), _rotate(h_k, 1))
     return kept, nu_k, h_k, vertices
 
 
@@ -240,8 +237,21 @@ def wulff_shape_with_indices(normals, support):
 
 def support_profile(body: SupportPolygon, directions) -> np.ndarray:
     """Support function on an (R, 2) array of unit directions (vectorized)."""
-    d = _as_unit_rows(directions)
+    return _support_values(body, _as_unit_rows(directions))
+
+
+def _support_values(body: SupportPolygon, d: np.ndarray) -> np.ndarray:
+    """Support function on directions that are already validated unit rows."""
     return np.max(d @ body.vertices.T, axis=1)
+
+
+@lru_cache(maxsize=8)
+def _direction_grid(resolution: int) -> np.ndarray:
+    """Read-only validated unit rows at the angles 2 pi k / resolution."""
+    theta = TWO_PI * np.arange(resolution) / resolution
+    grid = _as_unit_rows(np.column_stack([np.cos(theta), np.sin(theta)]))
+    grid.setflags(write=False)
+    return grid
 
 
 def polar_body(body: SupportPolygon) -> SupportPolygon:
@@ -316,13 +326,8 @@ def combine_bodies(K: SupportPolygon, L: SupportPolygon, a: float, b: float,
     p != 1 where the true combination is not a polytope) and combined
     pointwise.  For p = 1 this is the exact Minkowski combination aK + bL.
     """
-    dirs = [K.normals, L.normals]
-    if refine:
-        theta = TWO_PI * np.arange(refine) / refine
-        dirs.append(np.column_stack([np.cos(theta), np.sin(theta)]))
-    directions = np.vstack(dirs)
-    hK = support_profile(K, directions)
-    hL = support_profile(L, directions)
+    directions = np.vstack([K.normals, L.normals, _direction_grid(refine)])
+    hK, hL = _support_values(K, directions), _support_values(L, directions)
     return wulff_shape(directions, lp_combination(hK, hL, a, b, p))
 
 
@@ -330,12 +335,8 @@ def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon,
                             resolution: int = 2048) -> float:
     """Hausdorff distance max_v |h_K(v) - h_L(v)| over a dense direction grid
     joined with both bodies' own normals."""
-    theta = TWO_PI * np.arange(resolution) / resolution
-    dirs = np.vstack([
-        np.column_stack([np.cos(theta), np.sin(theta)]),
-        K.normals, L.normals,
-    ])
-    return float(np.max(np.abs(support_profile(K, dirs) - support_profile(L, dirs))))
+    dirs = np.vstack([_direction_grid(resolution), K.normals, L.normals])
+    return float(np.max(np.abs(_support_values(K, dirs) - _support_values(L, dirs))))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from gaussmink import discrete
 from gaussmink.discrete import (
     VariationalProblem,
     _volume_hessian_bands,
@@ -17,7 +18,7 @@ from gaussmink.discrete import (
     volume_gradient,
 )
 from gaussmink.errors import HemisphereConditionError, SolverStallError
-from gaussmink.families import random_spanning_measure
+from gaussmink.families import random_spanning_measure, uniform_mgon_measure
 from gaussmink.gaussian import (
     gauss_surface_polygon,
     gauss_volume_exact,
@@ -335,6 +336,18 @@ class TestSolveConstrained:
         with pytest.raises(SolverStallError) as exc:
             solve_constrained(prob)
         assert len(exc.value.trace) > 0
+
+    def test_rounding_floor_ends_the_halving_search(self, monkeypatch):
+        # the 512-gon solve ends at its rounding floor after 8 Newton steps;
+        # once a halved step no longer moves (h, lambda) the search stops
+        # instead of reducing the same 512 halfplanes down to 2^-30
+        calls = []
+        original = discrete.wulff_shape_with_indices
+        monkeypatch.setattr(discrete, "wulff_shape_with_indices",
+                            lambda *args: calls.append(1) or original(*args))
+        report = solve_constrained(VariationalProblem(uniform_mgon_measure(512, 0.3), 1.0))
+        assert abs(report.volume_residual) <= 1e-12
+        assert len(calls) <= 25
 
     def test_minimality_against_brute_force(self):
         # 3-atom problems: solver objective must not exceed the best of

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
+from gaussmink.families import random_polygon
 from gaussmink.gaussian import (
     gauss_volume_exact,
     BALL_SURFACE_BOUND,
@@ -26,6 +28,7 @@ from gaussmink.gaussian import (
     gauss_volume,
     gauss_volume_mc,
     lp_gauss_surface_polygon,
+    scale_to_gauss_volume,
     smooth_lp_density,
     std_normal_cdf,
     std_normal_pdf,
@@ -36,6 +39,7 @@ from gaussmink.geometry import (
     SupportField,
     box_polygon,
     disc_polygon,
+    scale_body,
     wulff_shape,
 )
 from tests.test_geometry import random_body
@@ -97,6 +101,14 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 std_normal_quantile(bad)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-16, 0.5, 1.0 - 1e-16])
+    def test_round_trip_at_rounding_level(self, q):
+        # what one ulp of x moves Phi(x) by, plus one ulp of q: the error
+        # of the best double x, relative to q even at q = 1e-300
+        x = std_normal_quantile(q)
+        floor = std_normal_pdf(x) * np.spacing(abs(x)) + np.spacing(q)
+        assert abs(std_normal_cdf(x) - q) <= 4.0 * floor
 
 
 class TestGaussVolume:
@@ -181,6 +193,47 @@ def sector_quad_volume(body):
 ], ids=["box1", "box1e-3", "box6", "thin-box", "disc512", "rand0", "rand1", "rand2", "rand3"])
 def test_exact_volume_matches_sector_quadrature(body):
     assert abs(gauss_volume_exact(body) - sector_quad_volume(body)) <= 1e-14
+
+
+def squeezed(body, squeeze):
+    """Image of a body under diag(1, squeeze): thin for small squeeze."""
+    normals = body.normals / np.array([1.0, squeeze])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    vertices = body.vertices * np.array([1.0, squeeze])
+    return wulff_shape(normals, np.einsum("ij,ij->i", normals, vertices))
+
+
+def rebuilt_scale_factor(body, target):
+    """The rescale root found by building the dilated body at every probe."""
+    volume = lambda s: gauss_volume_exact(scale_body(body, s))
+    lo, hi = 1.0, 1.0
+    while volume(lo) > target:
+        lo *= 0.5
+    while volume(hi) < target:
+        hi *= 2.0
+    return brentq(lambda s: volume(s) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+class TestScaleToGaussVolume:
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 24), st.floats(-3.0, 0.0))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=125, max_edges=4, log_squeeze=-3.0)
+    def test_hits_target_and_matches_rebuilt_root(self, seed, max_edges, log_squeeze):
+        body = squeezed(random_polygon(np.random.default_rng(seed), 4, max_edges),
+                        10.0**log_squeeze)
+        K = scale_to_gauss_volume(body, 0.5)
+        assert abs(gauss_volume_exact(K) - 0.5) <= 1e-15
+        s = K.support[0] / body.support[0]
+        assert s == pytest.approx(rebuilt_scale_factor(body, 0.5), rel=1e-14)
+        np.testing.assert_array_equal(K.normals, body.normals)
+
+    def test_bracket_limits(self):
+        with pytest.raises(ValueError, match="lower end"):
+            scale_to_gauss_volume(box_polygon(1e13), 0.5)
+        with pytest.raises(ValueError, match="upper end"):
+            scale_to_gauss_volume(box_polygon(1e-13), 0.5)
+        with pytest.raises(ValueError, match="strictly between"):
+            scale_to_gauss_volume(box_polygon(1.0), 1.0)
 
 
 class TestGaussVolumeMc:

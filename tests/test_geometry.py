@@ -14,6 +14,7 @@ from gaussmink.geometry import (
     TWO_PI,
     DiscreteMeasure,
     SupportField,
+    SupportPolygon,
     box_polygon,
     body_hausdorff_distance,
     check_hemisphere_condition,
@@ -238,6 +239,70 @@ class TestSupportRadial:
         slack = pts @ K.normals.T - K.support[None, :]
         assert slack.max() <= 1e-9                  # never outside
         assert np.abs(slack.max(axis=1)).max() <= 1e-9  # some constraint tight
+
+
+class TestSupportPolygonValidation:
+    def test_valid_square_accepted(self):
+        sq = box_polygon(1.0)
+        SupportPolygon(sq.normals, sq.support, sq.vertices)
+
+    def test_vertex_off_its_line_rejected(self):
+        sq = box_polygon(1.0)
+        vertices = sq.vertices.copy()
+        vertices[0] += 2e-9 * sq.normals[0]  # leaves the line of edge 0 only
+        with pytest.raises(ValueError, match="edge lines"):
+            SupportPolygon(sq.normals, sq.support, vertices)
+
+    def test_vertex_off_the_next_line_rejected(self):
+        sq = box_polygon(1.0)
+        vertices = sq.vertices.copy()
+        vertices[-1] += 2e-9 * sq.normals[0]  # the last vertex wraps to edge 0
+        with pytest.raises(ValueError, match="edge lines"):
+            SupportPolygon(sq.normals, sq.support, vertices)
+
+    def test_unsorted_normals_rejected(self):
+        sq = box_polygon(1.0)
+        swap = [1, 0, 2, 3]
+        with pytest.raises(ValueError, match="sorted"):
+            SupportPolygon(sq.normals[swap], sq.support[swap], sq.vertices)
+
+    def test_non_unit_normals_rejected(self):
+        sq = box_polygon(1.0)
+        with pytest.raises(ValueError, match="unit vector"):
+            SupportPolygon(sq.normals * (1.0 + 1e-10), sq.support, sq.vertices)
+
+    def test_nonpositive_support_rejected(self):
+        sq = box_polygon(1.0)
+        with pytest.raises(ValueError, match="positive"):
+            SupportPolygon(sq.normals, -sq.support, -sq.vertices)
+
+    def test_shapes_rejected(self):
+        sq = box_polygon(1.0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            SupportPolygon(sq.normals, sq.support[:3], sq.vertices)
+        with pytest.raises(ValueError, match="at least 3"):
+            SupportPolygon(sq.normals[:2], sq.support[:2], sq.vertices[:2])
+
+    @given(st.integers(0, 10**6), st.floats(0.01, 100.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_sector_table_on_derived_bodies(self, seed, s, polar):
+        # the ray through the midpoint of edge j hits edge j there, and every
+        # ray ends on the supporting line of the edge it hits, inside the rest
+        K = scale_body(random_body(seed), s)
+        K = polar_body(K) if polar else K
+        mid = 0.5 * (K.vertices + np.roll(K.vertices, 1, axis=0))
+        mid_angles = np.arctan2(mid[:, 1], mid[:, 0])
+        assert np.array_equal(K.edge_index(mid_angles), np.arange(K.num_edges))
+        np.testing.assert_allclose(K.radial(mid_angles), np.linalg.norm(mid, axis=1),
+                                   rtol=1e-12)
+        ang = np.random.default_rng(seed).uniform(0.0, TWO_PI, 300)
+        u = np.column_stack([np.cos(ang), np.sin(ang)])
+        e = K.edge_index(ang)
+        rho = K.radial(ang)
+        np.testing.assert_allclose(rho * np.einsum("ij,ij->i", u, K.normals[e]),
+                                   K.support[e], rtol=1e-12)
+        np.testing.assert_allclose(rho * np.max(u @ K.normals.T / K.support, axis=1),
+                                   1.0, rtol=1e-12)
 
 
 class TestPolarBody:

@@ -24,6 +24,7 @@ from gaussmink.gaussian import (
     scale_to_gauss_volume,
 )
 from gaussmink.geometry import (
+    DiscreteMeasure,
     box_polygon,
     check_hemisphere_condition,
     disc_polygon,
@@ -31,6 +32,7 @@ from gaussmink.geometry import (
 )
 from gaussmink.verify import (
     CheckResult,
+    _measure_gap,
     check_ball_bound,
     check_ehrhard,
     check_isoperimetric,
@@ -46,6 +48,78 @@ from gaussmink.verify import (
 HALF_BALL_TOTAL_P1 = 0.5887050112577373  # r_half * e^{-r_half^2 / 2} = r_half / 2
 SQUARE_TOTAL = 0.66076348413606676  # 4 equal edge masses of [-1, 1]^2
 
+
+# format_table(run_suite(seed, 20)), the body of `gaussmink verify --n 20
+# --seed <seed>`, pinned byte for byte: the forward maps may be rewritten for
+# speed, but the printed report must not move.
+GOLDEN_TABLES = {
+    0: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   2.72139e-07       0.0001\n"
+        "ehrhard              yes   -0.0447836        1e-06\n"
+        "log-concavity-p1     yes   -0.0214856        1e-06\n"
+        "log-concavity-p2     yes   -0.0214856        0.000603393\n"
+        "mixed-measure        yes   -0.105629         1e-06\n"
+        "isoperimetric        yes   -0.715236         1e-06\n"
+        "ball-bound           yes   -4.07282          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+    1: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   3.66362e-07       0.0001\n"
+        "ehrhard              yes   -0.0478529        1e-06\n"
+        "log-concavity-p1     yes   -0.0185354        1e-06\n"
+        "log-concavity-p2     yes   -0.0185354        0.000603393\n"
+        "mixed-measure        yes   -0.140586         1e-06\n"
+        "isoperimetric        yes   -0.705771         1e-06\n"
+        "ball-bound           yes   -4.05177          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+    2: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   4.36845e-07       0.0001\n"
+        "ehrhard              yes   -0.0436965        1e-06\n"
+        "log-concavity-p1     yes   -0.0170164        1e-06\n"
+        "log-concavity-p2     yes   -0.0170164        0.000603393\n"
+        "mixed-measure        yes   -0.0986421        1e-06\n"
+        "isoperimetric        yes   -0.670412         1e-06\n"
+        "ball-bound           yes   -4.09704          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+    3: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   2.7123e-07        0.0001\n"
+        "ehrhard              yes   -0.0419524        1e-06\n"
+        "log-concavity-p1     yes   -0.0203931        1e-06\n"
+        "log-concavity-p2     yes   -0.0203931        0.000603393\n"
+        "mixed-measure        yes   -0.105094         1e-06\n"
+        "isoperimetric        yes   -0.697845         1e-06\n"
+        "ball-bound           yes   -4.08816          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+    4: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   3.3466e-07        0.0001\n"
+        "ehrhard              yes   -0.0352619        1e-06\n"
+        "log-concavity-p1     yes   -0.0129454        1e-06\n"
+        "log-concavity-p2     yes   -0.0129454        0.000603393\n"
+        "mixed-measure        yes   -0.098787         1e-06\n"
+        "isoperimetric        yes   -0.701182         1e-06\n"
+        "ball-bound           yes   -4.08511          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+    5: (
+        "check                pass  worst_violation   tolerance\n"
+        "variational-formula  yes   2.53451e-07       0.0001\n"
+        "ehrhard              yes   -0.0365543        1e-06\n"
+        "log-concavity-p1     yes   -0.0130847        1e-06\n"
+        "log-concavity-p2     yes   -0.0130847        0.000603393\n"
+        "mixed-measure        yes   -0.100584         1e-06\n"
+        "isoperimetric        yes   -0.707799         1e-06\n"
+        "ball-bound           yes   -4.08885          1e-06\n"
+        "uniqueness           yes   0                 1e-06"
+    ),
+}
 
 def regular_body(m, radius=1.0):
     return disc_polygon(radius, m)
@@ -304,6 +378,54 @@ class TestUniqueness:
             check_uniqueness(K, K, p=0.5)
 
 
+def looped_measure_gap(mu, nu) -> float:
+    """Reference: the per-angle loop that _measure_gap replaced."""
+    angles = np.concatenate([np.arctan2(mu.directions[:, 1], mu.directions[:, 0]),
+                             np.arctan2(nu.directions[:, 1], nu.directions[:, 0])])
+    angles = np.unique(np.round(angles, 12))
+    gap = 0.0
+    for theta in angles:
+        d = np.array([math.cos(theta), math.sin(theta)])
+        a = float(np.sum(mu.masses[mu.directions @ d > 1.0 - 1e-12]))
+        b = float(np.sum(nu.masses[nu.directions @ d > 1.0 - 1e-12]))
+        gap = max(gap, abs(a - b))
+    return gap
+
+
+def clustered_measure(rng, base):
+    """Atoms at the base angles plus neighbours closer than the 1.4e-6 rad
+    window or just outside it.  Offsets within 1e-7 rad of the window edge
+    are not drawn: there the loop's dot product rounds the edge by ~1e-10 rad."""
+    offsets = np.where(rng.random(base.size) < 0.5,
+                       rng.uniform(1e-11, 1.3e-6, base.size),
+                       rng.uniform(1.5e-6, 4e-6, base.size))
+    keep = rng.random(base.size) < 0.6
+    angles = np.concatenate([base, base[keep] + offsets[keep] * rng.choice([-1, 1], keep.sum())])
+    masses = rng.uniform(0.1, 2.0, angles.size)
+    return DiscreteMeasure(2, np.column_stack([np.cos(angles), np.sin(angles)]), masses)
+
+
+class TestMeasureGap:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_angle_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-math.pi, math.pi, int(rng.integers(3, 30)))
+        base[0] = math.pi - 5e-7  # a cluster across the +-pi cut
+        mu, nu = clustered_measure(rng, base), clustered_measure(rng, base)
+        # prefix sums over three copies of the masses, rounded once per term
+        tol = 3 * (mu.num_atoms + nu.num_atoms) * np.finfo(float).eps * (
+            mu.total_mass + nu.total_mass)
+        assert abs(_measure_gap(mu, nu) - looped_measure_gap(mu, nu)) <= tol
+        assert _measure_gap(mu, mu) == 0.0
+
+    def test_window_is_arccos_width(self):
+        one = DiscreteMeasure(2, [[1.0, 0.0]], [1.0])
+        for angle, inside in ((1.3e-6, True), (1.5e-6, False)):
+            near = DiscreteMeasure(2, [[math.cos(angle), math.sin(angle)]], [1.0])
+            assert (_measure_gap(one, near) == 0.0) == inside
+            assert (looped_measure_gap(one, near) == 0.0) == inside
+
+
 class TestSuiteRunner:
     def test_small_suite_all_pass(self):
         rows = run_suite(seed=1, instances=5)
@@ -335,6 +457,10 @@ class TestSuiteRunner:
     def test_instances_validated(self):
         with pytest.raises(ValueError):
             run_suite(seed=0, instances=0)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_TABLES))
+    def test_table_is_pinned(self, seed):
+        assert format_table(run_suite(seed, 20)) == GOLDEN_TABLES[seed]
 
 
 class TestFamilies:
