@@ -64,6 +64,7 @@ from .smooth import solve_cyclic_tridiagonal
 NEWTON_TOL = 1e-13   # scaled KKT residual at which Newton stops
 MAX_STEPS = 100      # Newton steps per exponent
 MAX_HALVINGS = 30    # step halvings before the rounding floor is declared
+ROUNDING_FLOOR = "rounding floor: no step halving reduces the residual"
 
 
 @dataclass(frozen=True)
@@ -249,17 +250,16 @@ def _newton_kkt(directions, masses, p, target, h, lam, accepted):
             return body, steps, "singular KKT matrix"
         dlam = -(f2 + g @ x) / (g @ y)
         dh = x + dlam * y
-        floor = "rounding floor: no step halving reduces the residual"
         t = 1.0
         for _ in range(MAX_HALVINGS):
             h_t, lam_t = h + t * dh, lam + t * dlam
-            if lam_t == lam and np.array_equal(h_t, h):
-                return body, steps, floor  # every smaller t gives this same point
+            if lam_t == lam and np.array_equal(h_t, h):  # so does every smaller t
+                return body, steps, ROUNDING_FLOOR
             trial = evaluate(h_t, lam_t)
             if trial is not None and trial[4] < merit:
                 break
             t *= 0.5
         else:
-            return body, steps, floor
+            return body, steps, ROUNDING_FLOOR
         h, lam, state = h_t, lam_t, trial
         accepted(h)

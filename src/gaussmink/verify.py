@@ -34,7 +34,6 @@ from .gaussian import (
     std_normal_quantile,
 )
 from .geometry import (
-    TWO_PI,
     SupportPolygon,
     body_hausdorff_distance,
     combine_bodies,
@@ -320,24 +319,17 @@ def check_uniqueness(K: SupportPolygon, L: SupportPolygon, p: float = 1.0,
 
 
 def _measure_gap(mu, nu) -> float:
-    """Max mass discrepancy between two discrete measures on the circle.
-
-    At each atom angle theta, the mass on directions u with u . (cos theta,
-    sin theta) > 1 - 1e-12: a cyclic window of half-width ~1.4e-6 rad.
-    """
-    angles = [np.arctan2(m.directions[:, 1], m.directions[:, 0]) for m in (mu, nu)]
-    theta = np.unique(np.round(np.concatenate(angles), 12))
-    half = math.acos(1.0 - 1e-12)
-
-    def window_mass(ang, masses):
-        order = np.argsort(ang)
-        ring = np.concatenate([ang[order] - TWO_PI, ang[order], ang[order] + TWO_PI])
-        prefix = np.concatenate([[0.0], np.cumsum(np.tile(masses[order], 3))])
-        return (prefix[np.searchsorted(ring, theta + half)]
-                - prefix[np.searchsorted(ring, theta - half, side="right")])
-
-    return float(np.max(np.abs(window_mass(angles[0], mu.masses)
-                               - window_mass(angles[1], nu.masses))))
+    """Max mass discrepancy between two discrete measures on the circle."""
+    angles = np.concatenate([np.arctan2(mu.directions[:, 1], mu.directions[:, 0]),
+                             np.arctan2(nu.directions[:, 1], nu.directions[:, 0])])
+    angles = np.unique(np.round(angles, 12))
+    gap = 0.0
+    for theta in angles:
+        d = np.array([math.cos(theta), math.sin(theta)])
+        a = float(np.sum(mu.masses[mu.directions @ d > 1.0 - 1e-12]))
+        b = float(np.sum(nu.masses[nu.directions @ d > 1.0 - 1e-12]))
+        gap = max(gap, abs(a - b))
+    return gap
 
 
 def run_suite(seed: int = 0, instances: int = 100) -> list[CheckResult]:

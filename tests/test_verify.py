@@ -378,52 +378,12 @@ class TestUniqueness:
             check_uniqueness(K, K, p=0.5)
 
 
-def looped_measure_gap(mu, nu) -> float:
-    """Reference: the per-angle loop that _measure_gap replaced."""
-    angles = np.concatenate([np.arctan2(mu.directions[:, 1], mu.directions[:, 0]),
-                             np.arctan2(nu.directions[:, 1], nu.directions[:, 0])])
-    angles = np.unique(np.round(angles, 12))
-    gap = 0.0
-    for theta in angles:
-        d = np.array([math.cos(theta), math.sin(theta)])
-        a = float(np.sum(mu.masses[mu.directions @ d > 1.0 - 1e-12]))
-        b = float(np.sum(nu.masses[nu.directions @ d > 1.0 - 1e-12]))
-        gap = max(gap, abs(a - b))
-    return gap
-
-
-def clustered_measure(rng, base):
-    """Atoms at the base angles plus neighbours closer than the 1.4e-6 rad
-    window or just outside it.  Offsets within 1e-7 rad of the window edge
-    are not drawn: there the loop's dot product rounds the edge by ~1e-10 rad."""
-    offsets = np.where(rng.random(base.size) < 0.5,
-                       rng.uniform(1e-11, 1.3e-6, base.size),
-                       rng.uniform(1.5e-6, 4e-6, base.size))
-    keep = rng.random(base.size) < 0.6
-    angles = np.concatenate([base, base[keep] + offsets[keep] * rng.choice([-1, 1], keep.sum())])
-    masses = rng.uniform(0.1, 2.0, angles.size)
-    return DiscreteMeasure(2, np.column_stack([np.cos(angles), np.sin(angles)]), masses)
-
-
 class TestMeasureGap:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_per_angle_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        base = rng.uniform(-math.pi, math.pi, int(rng.integers(3, 30)))
-        base[0] = math.pi - 5e-7  # a cluster across the +-pi cut
-        mu, nu = clustered_measure(rng, base), clustered_measure(rng, base)
-        # prefix sums over three copies of the masses, rounded once per term
-        tol = 3 * (mu.num_atoms + nu.num_atoms) * np.finfo(float).eps * (
-            mu.total_mass + nu.total_mass)
-        assert abs(_measure_gap(mu, nu) - looped_measure_gap(mu, nu)) <= tol
-        assert _measure_gap(mu, mu) == 0.0
-
     def test_window_is_arccos_width(self):
         one = DiscreteMeasure(2, [[1.0, 0.0]], [1.0])
         for angle, inside in ((1.3e-6, True), (1.5e-6, False)):
             near = DiscreteMeasure(2, [[math.cos(angle), math.sin(angle)]], [1.0])
             assert (_measure_gap(one, near) == 0.0) == inside
-            assert (looped_measure_gap(one, near) == 0.0) == inside
 
 
 class TestSuiteRunner:
