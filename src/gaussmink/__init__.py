@@ -5,8 +5,8 @@ and a property-checking suite for the underlying inequalities."""
 from .discrete import (VariationalProblem, phi_objective, recover_multiplier,
                        solve_constrained, volume_gradient)
 from .errors import (ConvexityError, HemisphereConditionError, MassBoundError,
-                     NoConstantSolutionError, SolverStallError,
-                     UnboundedBodyError, WrongBranchError)
+                     NoConstantSolutionError, RoundingFloorError,
+                     SolverStallError, UnboundedBodyError, WrongBranchError)
 from .gaussian import (EdgeMeasure, GaussConstants, gauss_constants,
                        gauss_surface_polygon, gauss_volume, gauss_volume_exact,
                        gauss_volume_mc, lp_gauss_surface_polygon,
@@ -31,8 +31,8 @@ __all__ = [
     "CheckResult", "ConvexityError", "DiscreteMeasure", "EdgeMeasure",
     "GaussConstants", "HemisphereConditionError", "HomotopyOptions",
     "HomotopyStep", "HomotopyTrace", "MassBoundError",
-    "NoConstantSolutionError", "SolveReport", "SolverStallError",
-    "SupportField", "SupportPolygon", "UnboundedBodyError",
+    "NoConstantSolutionError", "RoundingFloorError", "SolveReport",
+    "SolverStallError", "SupportField", "SupportPolygon", "UnboundedBodyError",
     "VariationalProblem", "WrongBranchError", "body_hausdorff_distance",
     "box_polygon", "check_ball_bound", "check_ehrhard",
     "check_hemisphere_condition", "check_isoperimetric",

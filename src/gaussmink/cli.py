@@ -5,8 +5,10 @@ solve-smooth, verify (property-check suite), constants, plot (SVG boundary),
 and generate (named deterministic test inputs).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 solver non-convergence.  Outputs are byte-identical for identical
-(configuration, seed); every number is echoed with nine significant digits.
+3 solver non-convergence (a stall, or a tolerance below the residual's
+rounding floor; stderr then also summarizes the solver's trace).  Outputs
+are byte-identical for identical (configuration, seed); every number is
+echoed with nine significant digits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import SolverStallError
 from .families import FAMILY_NAMES, build_family, cos_density
 from .gaussian import gauss_constants, lp_gauss_surface_polygon
 from .geometry import SupportField
-from .smooth import HomotopyOptions, solve_homotopy
+from .smooth import HomotopyOptions, HomotopyStep, solve_homotopy
 from .verify import format_table, run_suite
 
 COMMANDS = ("measure", "solve-discrete", "solve-smooth", "verify",
@@ -202,12 +204,27 @@ _HANDLERS = {"constants": _cmd_constants,
              "generate": _cmd_generate}
 
 
+def _trace_summary(trace) -> str | None:
+    """One line on how far a failed solve got, or None without a trace."""
+    if not trace:
+        return None
+    if isinstance(trace[0], HomotopyStep):  # t = 0 start, then accepted steps
+        return (f"trace: {len(trace) - 1} accepted continuation steps, "
+                f"last accepted t = {serialize.echo_float(trace[-1].t)}")
+    # discrete: phi at the start ball, then after each Newton step
+    return (f"trace: {len(trace) - 1} Newton steps, "
+            f"last phi = {serialize.echo_float(trace[-1])}")
+
+
 def run(config: RunConfig) -> int:
     """Dispatch one invocation and map failures to exit codes."""
     try:
         return _HANDLERS[config.command](config)
-    except SolverStallError as exc:
+    except SolverStallError as exc:  # RoundingFloorError included
         print(f"error: {exc}", file=sys.stderr)
+        summary = _trace_summary(exc.trace)
+        if summary is not None:
+            print(summary, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

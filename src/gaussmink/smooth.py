@@ -13,6 +13,12 @@ with damped Newton steps, halving the continuation step when a Newton solve
 fails.  The linearization at the constant start is the periodic operator
 D^2 + (2-p) - r0^2 up to a positive prefactor; a start is rejected when its
 spectrum (2-p) - r0^2 - k^2 comes within 1e-8 of zero.
+
+The residual has a rounding floor of about eps max(a h) / step^2, with
+a = h^(1-p) e^(-h^2/2) / 2pi the density's prefactor; it grows like N^2.  A
+Newton stall at that floor raises RoundingFloorError at once, naming the
+floor and a reachable tolerance, instead of halving the continuation step:
+a smaller step cannot lower a floor that depends only on h and N.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     ConvexityError,
     MassBoundError,
     NoConstantSolutionError,
+    RoundingFloorError,
     SolverStallError,
     WrongBranchError,
 )
@@ -51,10 +58,30 @@ R_STAR_CEILING = 3.0
 
 _GUARD_TOL = 1e-8
 
+# A Newton stall with residual within this factor of the rounding-floor
+# estimate is put down to rounding.  Every stall measured on the cos
+# densities at N = 8192 sat at 0.93-1.87 floors; the factor leaves room for
+# the estimate's unknown stencil constant while a stall an order of
+# magnitude above the floor still gets the smaller t-steps that may cure it.
+FLOOR_FACTOR = 16.0
+# Stalls sit at up to about twice the floor estimate, and along a path the
+# floor can double from its value at the stall (p = 2, N = 8192 to 2^18), so
+# the suggested tolerance is four floors, or the stalled residual if larger.
+_REACHABLE_FLOORS = 4.0
+
 
 @dataclass(frozen=True)
 class HomotopyOptions:
-    """Continuation settings for solve_homotopy."""
+    """Continuation settings for solve_homotopy.
+
+    newton_tol is the max-norm residual each Newton solve must reach.  The
+    residual cannot fall below its rounding floor, about
+    eps max(a h) / step^2 with a = h^(1-p) e^(-h^2/2) / 2pi: 1-2e-11 for the
+    cos densities at N = 8192, four times that at twice the resolution.  The
+    default 1e-11 is reachable up to N = 4096; when Newton stalls at the
+    floor, solve_homotopy raises RoundingFloorError naming a tolerance that
+    is reachable.
+    """
 
     resolution: int = 256
     t_step_initial: float = 0.25
@@ -236,10 +263,12 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
 def newton_step(field: SupportField, f, p: float) -> SupportField:
     """One damped Newton update h <- h - t J^{-1} G toward density f.
 
-    The full step is halved (at most 20 times) until the residual max-norm
-    decreases and the candidate stays a valid convex field.  Raises
-    SolverStallError when no damping level helps; the continuation driver
-    reacts by shrinking its t-step.
+    The full step is halved (at most 20 times, and no further once the
+    candidate equals h) until the residual max-norm decreases and the
+    candidate stays a valid convex field.  When no damping level helps,
+    raises RoundingFloorError if the residual is within FLOOR_FACTOR of
+    _rounding_floor, and SolverStallError otherwise; the continuation driver
+    reacts to the latter by shrinking its t-step.
     """
     defect = residual(field, f, p)
     base = float(np.max(np.abs(defect)))
@@ -250,6 +279,8 @@ def newton_step(field: SupportField, f, p: float) -> SupportField:
     t = 1.0
     for _ in range(20):
         candidate = field.h - t * delta
+        if np.array_equal(candidate, field.h):
+            break  # every smaller t evaluates the same point
         try:
             trial = SupportField(field.resolution, candidate)
         except (ConvexityError, ValueError):
@@ -258,10 +289,33 @@ def newton_step(field: SupportField, f, p: float) -> SupportField:
         if float(np.max(np.abs(residual(trial, f, p)))) < base:
             return trial
         t *= 0.5
+    floor = _rounding_floor(field, p)
+    if base <= FLOOR_FACTOR * floor:
+        raise RoundingFloorError(
+            f"damped Newton step stalled at residual {base:.3g}, within "
+            f"{FLOOR_FACTOR:g} times the rounding floor {floor:.3g} of the "
+            f"N = {field.resolution} grid", base, floor)
     raise SolverStallError(
         "damped Newton step failed to reduce the residual; "
         "try a smaller continuation step"
     )
+
+
+def _rounding_floor(field: SupportField, p: float) -> float:
+    """Rounding error of the residual: eps max(a h) / step^2.
+
+    a = h^(1-p) e^(-h^2/2) / 2pi is the density's prefactor and eps h / step^2
+    the rounding error of the D^2 stencil.
+    """
+    h = field.h
+    a = h ** (1.0 - p) * np.exp(-0.5 * h * h) / TWO_PI
+    return float(np.finfo(float).eps * np.max(a * h) / field.step**2)
+
+
+def _round_up(x: float) -> float:
+    """x rounded up to one significant digit."""
+    scale = 10.0 ** math.floor(math.log10(x))
+    return math.ceil(x / scale) * scale
 
 
 def _newton_solve(field, f_target, p, opts):
@@ -364,6 +418,17 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
         f_target = (1.0 - t_next) * c0 + t_next * f
         try:
             new_field, iters = _newton_solve(field, f_target, p, opts)
+        except RoundingFloorError as exc:
+            # the floor depends only on h and N: a smaller t-step cannot lower it
+            reachable = _round_up(max(_REACHABLE_FLOORS * exc.floor, exc.residual))
+            raise RoundingFloorError(
+                f"Newton stalled at the rounding floor of the residual "
+                f"(N = {opts.resolution}, p = {p:g}, reached t = {t:.6g}): "
+                f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
+                f"requested newton_tol = {opts.newton_tol:g}; tolerances from about "
+                f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
+                exc.residual, exc.floor, trace=list(steps),
+            ) from None
         except SolverStallError:
             dt *= 0.5
             if dt < opts.t_step_min:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete import VariationalProblem, solve_constrained
 from .families import (
     elongated_hexagon,
     random_even_polygon,
@@ -391,9 +392,14 @@ def run_suite(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     rows.append(aggregate("ball-bound", ball))
 
     unique = []
-    for _ in range(max(1, instances // 10)):  # rescale pairs share volume 1/2
+    for _ in range(max(1, instances // 10)):
+        # recover a body from K's own L_p measure at volume 1/2 and compare:
+        # for p > 1 the symmetric solution is unique in h
         K = scale_to_gauss_volume(random_even_polygon(rng))
-        unique.append(check_uniqueness(K, K, p=1.0))
+        p = float(rng.choice([1.5, 2.0]))
+        mu = lp_gauss_surface_polygon(K, p).as_discrete()
+        L = solve_constrained(VariationalProblem(mu, p)).body
+        unique.append(check_uniqueness(K, L, p=p))
     rows.append(aggregate("uniqueness", unique))
     return rows
 

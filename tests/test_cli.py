@@ -335,7 +335,12 @@ class TestSolveDiscreteCommand:
         path.write_text(serialize.dumps_json(serialize.measure_to_dict(mu)))
         assert main(["solve-discrete", "--input", str(path),
                      "--tol", "1e-30"]) == 3
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        # the objective trace is summarized: phi after the last Newton step
+        summary = err.splitlines()[-1]
+        assert summary.startswith("trace: ") and " Newton steps, last phi = " in summary
+        assert float(summary.rsplit(" = ", 1)[1]) > 0.0
 
 
 class TestSolveSmoothCommand:
@@ -380,6 +385,24 @@ class TestSolveSmoothCommand:
     def test_resolution_below_floor(self, capsys):
         assert main(["solve-smooth", "--family", "cos",
                      "--resolution", "32"]) == 2
+
+    def test_tolerance_below_rounding_floor(self, capsys):
+        assert main(["solve-smooth", "--family", "cos",
+                     "--resolution", "8192"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error, summary = captured.err.splitlines()
+        assert error.startswith("error: Newton stalled at the rounding floor")
+        assert "floor estimate" in error and "pass --tol >= " in error
+        assert "t_step_min" not in error and "Traceback" not in captured.err
+        assert summary == ("trace: 0 accepted continuation steps, "
+                           "last accepted t = 0")
+
+    def test_tolerance_above_rounding_floor(self, capsys):
+        assert main(["solve-smooth", "--family", "cos", "--resolution", "8192",
+                     "--tol", "1e-10"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert float(kv["stationarity_residual"]) <= 1e-10
 
     def test_deterministic_stdout(self, capsys):
         argv = ["solve-smooth", "--family", "cos", "--resolution", "128"]

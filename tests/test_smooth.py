@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from gaussmink import smooth
 from gaussmink.errors import (
     MassBoundError,
     NoConstantSolutionError,
+    RoundingFloorError,
     SolverStallError,
     WrongBranchError,
 )
@@ -22,6 +24,7 @@ from gaussmink.smooth import (
     HomotopyStep,
     HomotopyTrace,
     _jacobian_bands,
+    _rounding_floor,
     constant_branch_start,
     linearized_guard,
     newton_step,
@@ -330,3 +333,76 @@ class TestSolveHomotopy:
         poly = field_to_polygon(fld)
         assert poly.num_edges == 256
         np.testing.assert_allclose(np.sort(poly.support), np.sort(h), atol=1e-12)
+
+
+class TestRoundingFloor:
+    """At N = 8192 the default newton_tol = 1e-11 lies below the residual's
+    rounding floor: the solve stops at the first stall and names the floor."""
+
+    N = 8192
+
+    @pytest.fixture
+    def failed_steps(self, monkeypatch):
+        """(field, target) of every newton_step call that raises."""
+        failures = []
+
+        def recording(field, f, p):
+            try:
+                return newton_step(field, f, p)
+            except SolverStallError:
+                failures.append((field, f))
+                raise
+
+        monkeypatch.setattr(smooth, "newton_step", recording)
+        return failures
+
+    def test_floor_estimate_scales_like_n_squared(self):
+        r, p = 1.8, 1.5
+        floors = [_rounding_floor(SupportField(n, np.full(n, r)), p)
+                  for n in (1024, 2048)]
+        assert floors[1] == pytest.approx(4.0 * floors[0], rel=1e-12)
+        step = 2.0 * np.pi / 1024
+        expected = (np.finfo(float).eps * r ** (2.0 - p) * math.exp(-0.5 * r * r)
+                    / (2.0 * np.pi) / step**2)
+        assert floors[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_below_floor_raises_at_first_stall(self, p, failed_steps):
+        f = cos_density(0.045, 0.2, 2, self.N)
+        with pytest.raises(RoundingFloorError) as info:
+            solve_homotopy(f, p)
+        exc = info.value
+        message = str(exc)
+        assert f"N = {self.N}, p = {p:g}" in message
+        assert "floor estimate" in message and "newton_tol = 1e-11" in message
+        assert "--tol >= " in message
+        assert "t_step_min" not in message
+        assert 1e-11 < exc.residual <= smooth.FLOOR_FACTOR * exc.floor
+        assert exc.trace and all(isinstance(s, HomotopyStep) for s in exc.trace)
+        assert len(failed_steps) <= 1  # 12, 12 and 18 with t-step halving
+        # the tolerance the message suggests is reachable
+        tol = float(message.rsplit("--tol >= ", 1)[1])
+        rep = solve_homotopy(f, p, HomotopyOptions(resolution=self.N, newton_tol=tol))
+        assert rep.stationarity_residual <= tol
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_tolerance_above_floor_solves(self, p, failed_steps):
+        f = cos_density(0.045, 0.2, 2, self.N)
+        rep = solve_homotopy(f, p, HomotopyOptions(resolution=self.N, newton_tol=1e-10))
+        assert rep.stationarity_residual <= 1e-10
+        assert not failed_steps
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_halving_stops_once_the_candidate_is_h(self, p, failed_steps, monkeypatch):
+        # at the floor the Newton correction is about an ulp of h: a few
+        # halvings round it away, and the step stops there instead of
+        # evaluating all 20 damping levels
+        with pytest.raises(RoundingFloorError):
+            solve_homotopy(cos_density(0.045, 0.2, 2, self.N), p)
+        field, f = failed_steps[0]
+        evaluated = []
+        monkeypatch.setattr(smooth, "residual",
+                            lambda fld, g, q: evaluated.append(fld) or residual(fld, g, q))
+        with pytest.raises(RoundingFloorError):
+            newton_step(field, f, p)
+        assert len(evaluated) < 1 + 20  # the base residual and each damping level

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from gaussmink import verify
 from gaussmink.errors import HemisphereConditionError
 from gaussmink.families import (
     build_family,
@@ -62,7 +63,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.105629         1e-06\n"
         "isoperimetric        yes   -0.715236         1e-06\n"
         "ball-bound           yes   -4.07282          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   8.88178e-16       1e-06"
     ),
     1: (
         "check                pass  worst_violation   tolerance\n"
@@ -73,7 +74,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.140586         1e-06\n"
         "isoperimetric        yes   -0.705771         1e-06\n"
         "ball-bound           yes   -4.05177          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   9.54792e-15       1e-06"
     ),
     2: (
         "check                pass  worst_violation   tolerance\n"
@@ -84,7 +85,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.0986421        1e-06\n"
         "isoperimetric        yes   -0.670412         1e-06\n"
         "ball-bound           yes   -4.09704          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   8.88178e-16       1e-06"
     ),
     3: (
         "check                pass  worst_violation   tolerance\n"
@@ -95,7 +96,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.105094         1e-06\n"
         "isoperimetric        yes   -0.697845         1e-06\n"
         "ball-bound           yes   -4.08816          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   4.44089e-16       1e-06"
     ),
     4: (
         "check                pass  worst_violation   tolerance\n"
@@ -106,7 +107,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.098787         1e-06\n"
         "isoperimetric        yes   -0.701182         1e-06\n"
         "ball-bound           yes   -4.08511          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   1.08802e-13       1e-06"
     ),
     5: (
         "check                pass  worst_violation   tolerance\n"
@@ -117,7 +118,7 @@ GOLDEN_TABLES = {
         "mixed-measure        yes   -0.100584         1e-06\n"
         "isoperimetric        yes   -0.707799         1e-06\n"
         "ball-bound           yes   -4.08885          1e-06\n"
-        "uniqueness           yes   0                 1e-06"
+        "uniqueness           yes   6.66134e-16       1e-06"
     ),
 }
 
@@ -394,6 +395,22 @@ class TestSuiteRunner:
                          "log-concavity-p2", "mixed-measure", "isoperimetric",
                          "ball-bound", "uniqueness"]
         assert all(r.passed for r in rows)
+
+    def test_uniqueness_row_checks_a_recovered_body(self, monkeypatch):
+        # the row solves for a body from K's own L_p measure; its witness
+        # must show the antecedent held (no skip, no differing measures)
+        solved = []
+        solve = verify.solve_constrained
+        monkeypatch.setattr(verify, "solve_constrained",
+                            lambda prob: solved.append(prob.p) or solve(prob))
+        for seed in range(3):
+            row = run_suite(seed=seed, instances=10)[-1]
+            assert len(solved) == seed + 1 and solved[-1] > 1.0
+            witness = json.loads(row.witness)
+            assert witness["measure_gap"] <= 1e-8
+            assert witness["gauss_volume_K"] == pytest.approx(0.5, abs=1e-12)
+            assert witness["gauss_volume_L"] == pytest.approx(0.5, abs=1e-8)
+            assert row.passed and row.worst_violation == witness["hausdorff"]
 
     def test_thin_polygon_suite_passes(self):
         # suite seed 125 draws a thin polygon whose edges vanish at the default
