@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and solvers for the associated Minkowski problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, input_flag=False, p_flag=False,
-            tol_flag=False, family_positional=False):
+    def add(name, help_text, *, input_flag=False, p_flag=False, tol_flag=False,
+            seed_flag=False, resolution_flag=False, family_positional=False):
         cmd = sub.add_parser(name, help=help_text)
         if family_positional:
             cmd.add_argument("family", help="test case family name")
@@ -253,9 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         if tol_flag:
             cmd.add_argument("--tol", type=float, default=None,
                              help="solver tolerance")
-        cmd.add_argument("--seed", type=int, default=0, help="random seed")
-        cmd.add_argument("--resolution", type=int, default=256,
-                         help="grid resolution")
+        if seed_flag:
+            cmd.add_argument("--seed", type=int, default=0, help="random seed")
+        if resolution_flag:
+            cmd.add_argument("--resolution", type=int, default=256,
+                             help="grid resolution")
         return cmd
 
     add("constants", "print the dimensional constants as key=value lines",
@@ -266,18 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("solve-discrete", "solve the Minkowski problem for a discrete measure",
         input_flag=True, p_flag=True, tol_flag=True)
     smooth = add("solve-smooth", "solve the smooth Minkowski problem on the "
-                 "circle", input_flag=True, p_flag=True, tol_flag=True)
+                 "circle", input_flag=True, p_flag=True, tol_flag=True,
+                 resolution_flag=True)
     smooth.add_argument("--family", default=None,
                         help="built-in density family: constant or cos")
     smooth.add_argument("--amplitude", type=float, default=0.2,
                         help="cos family modulation amplitude")
     smooth.add_argument("--frequency", type=int, default=2,
                         help="cos family modulation frequency")
-    add("verify", "run the property-check suite").add_argument(
+    add("verify", "run the property-check suite", seed_flag=True).add_argument(
         "--n", type=int, default=100, help="number of random instances")
     add("plot", "render a body or field boundary as SVG", input_flag=True)
     gen = add("generate", "write a named deterministic test input",
-              p_flag=True, family_positional=True)
+              p_flag=True, seed_flag=True, resolution_flag=True,
+              family_positional=True)
     gen.add_argument("--n", type=int, default=8,
                      help="atom count for uniform-mgon")
     gen.add_argument("--amplitude", type=float, default=0.2,
@@ -288,11 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = ("command", "input_path", "output_path", "p", "resolution",
-              "seed", "tol", "family", "amplitude", "frequency", "n")
-    values = {name: getattr(args, name) for name in fields
-              if hasattr(args, name)}
-    return RunConfig(**values)
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if hasattr(args, f.name)})
 
 
 def main(argv=None) -> int:

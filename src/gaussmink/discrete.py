@@ -21,9 +21,9 @@ gamma_2 is cyclic tridiagonal, so a step costs two cyclic-tridiagonal solves
 and a scalar Schur complement for lambda.  Steps are halved until every atom
 keeps its facet and the residual norm decreases; the iteration stops at a
 scaled residual of 1e-13 or at the rounding floor, where no halving
-decreases it.  The solve is deterministic: it starts from the ball
-h = r_half of Gaussian volume exactly 1/2, or, for p < 1, where phi is not
-convex, from the solution at p = 1.
+decreases it.  The solve is deterministic: it starts on the constraint, from
+the ball whose Gaussian volume is the target, or, for p < 1, where phi is
+not convex, from the solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import HemisphereConditionError, SolverStallError
 from .gaussian import (
+    ball_radius,
     gauss_constants,
     gauss_surface_polygon,
     gauss_volume_exact,
@@ -176,7 +177,8 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
         flags.append("no-uniqueness-certificate")
 
     k = mu.num_atoms
-    body, order = wulff_shape_with_indices(mu.directions, np.full(k, constants.r_half))
+    body, order = wulff_shape_with_indices(
+        mu.directions, np.full(k, ball_radius(prob.target_volume)))
     if len(order) < k:
         raise SolverStallError(f"the start ball keeps {len(order)} of {k} facets: "
                                "atom directions too close to resolve")

@@ -108,6 +108,11 @@ def ball_gauss_volume(r, n: int = 2):
     return float(out) if out.ndim == 0 else out
 
 
+def ball_radius(v: float, n: int = 2) -> float:
+    """Radius r with gamma_n(r B) = v, in closed form sqrt(2 P^-1(n/2, v))."""
+    return math.sqrt(2.0 * special.gammaincinv(0.5 * n, v))
+
+
 def gauss_volume(body: SupportPolygon, resolution: int = 4096) -> float:
     """Gaussian volume of a planar body by periodic trapezoid quadrature.
 
@@ -368,8 +373,7 @@ def gauss_constants(n: int, p: float) -> GaussConstants:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    r_half = float(brentq(lambda r: ball_gauss_volume(r, n) - 0.5, 1e-6, 40.0,
-                          xtol=1e-14, rtol=8.9e-16))
+    r_half = ball_radius(0.5, n)
     a_half = float(std_normal_quantile(0.75))
     mass_bound = (
         math.sqrt(2.0 / math.pi) * r_half ** (-p) * a_half * math.exp(-0.5 * a_half**2)

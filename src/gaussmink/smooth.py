@@ -40,6 +40,7 @@ from .errors import (
     WrongBranchError,
 )
 from .gaussian import (
+    ball_gauss_volume,
     constant_field_density,
     field_gauss_volume,
     gauss_constants,
@@ -178,9 +179,9 @@ def constant_branch_start(c0: float, p: float) -> float:
                 xtol=1e-14, rtol=8.9e-16)
     r_half = gauss_constants(2, p).r_half
     if r0 <= r_half:
-        gamma = -math.expm1(-0.5 * r0 * r0)
         raise WrongBranchError(
-            f"largest root r0 = {r0:.6g} has Gaussian volume {gamma:.6g} <= 1/2"
+            f"largest root r0 = {r0:.6g} has Gaussian volume "
+            f"{ball_gauss_volume(r0):.6g} <= 1/2"
         )
     return float(r0)
 

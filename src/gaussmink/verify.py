@@ -44,8 +44,10 @@ from .geometry import (
 )
 
 UNIFORM_SLACK = 1e-6
-# Halvings of the variational check's t ladder before it reports failure.
-_MAX_T_HALVINGS = 4
+_T_VALUES = (1e-3, 5e-4, 2.5e-4)  # variational-check forward-difference steps
+_MAX_T_HALVINGS = 4  # halvings of that ladder before the check fails
+_LP_REFINE = 256  # extra uniform normals sampling an L_p (p != 1) combination
+_MEASURE_TOL, _BODY_TOL = 1e-8, 1e-6  # uniqueness: equal measures, equal bodies
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,13 @@ def lp_measure_total(body: SupportPolygon, p: float) -> float:
     return float(np.sum(lp_gauss_surface_polygon(body, p).masses))
 
 
-def check_variational_formula(body: SupportPolygon, f, p: float,
-                              t_values=(1e-3, 5e-4, 2.5e-4)) -> CheckResult:
+def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
     """First variation of Gaussian volume along an L_p support perturbation.
 
     For h_t = (h^p + t f^p)^(1/p) the derivative of gamma([h_t]) at t = 0
     equals (1/p) sum f_i^p per-edge L_p mass.  Forward differences at the
-    given t values are Richardson-extrapolated (2 E(t/2) - E(t) cancels the
-    O(t) term); the check passes when the extrapolated value matches the
+    ``_T_VALUES`` steps are Richardson-extrapolated (2 E(t/2) - E(t) cancels
+    the O(t) term); the check passes when the extrapolated value matches the
     measure side to 1e-4 relative.  When fewer than two t values keep every
     facet of the body, the whole ladder is halved, at most
     ``_MAX_T_HALVINGS`` times.
@@ -111,7 +112,7 @@ def check_variational_formula(body: SupportPolygon, f, p: float,
 
     slopes: dict[float, float] = {}
     skipped = []
-    ladder = sorted(t_values, reverse=True)
+    ladder = sorted(_T_VALUES, reverse=True)
     for _ in range(_MAX_T_HALVINGS + 1):
         for t in ladder:
             if t in slopes or t in skipped:
@@ -176,35 +177,30 @@ def check_ehrhard(K: SupportPolygon, L: SupportPolygon,
 
 
 def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
-                        lambdas=(0.25, 0.5, 0.75), p: float = 1.0,
-                        refine: int = 256) -> CheckResult:
-    """Multiplicative form gamma(combination) >= gamma(K)^(1-lam) gamma(L)^lam.
+                        lambdas=(0.25, 0.5, 0.75), p: float = 1.0) -> CheckResult:
+    """Multiplicative form gamma(M) >= gamma(K)^(1-lam) gamma(L)^lam.
 
-    Checked for the Minkowski sum and, for p > 1, the L_p combination (whose
-    Wulff shape is evaluated on a refined normal grid; the polygon encloses
-    the true body, so only the outer O(refine^-2) allowance is added).
+    M = (1-lam) K +_p lam L is the exact Minkowski sum for p = 1 and, for
+    p > 1, the L_p combination's Wulff shape on a refined normal grid (the
+    polygon encloses the true body, so only the outer O(refine^-2)
+    allowance is added).
     """
     if p < 1.0:
         raise ValueError("the multiplicative inequality is stated for p >= 1")
     gK = gauss_volume_exact(K)
     gL = gauss_volume_exact(L)
+    refine = _LP_REFINE if p != 1.0 else 0
     # the refinement allowance only applies when an L_p Wulff body is sampled
-    tol = UNIFORM_SLACK + ((2.0 * math.pi / refine) ** 2 if p != 1.0 else 0.0)
-    worst = -math.inf
-    worst_case = None
+    tol = UNIFORM_SLACK + ((2.0 * math.pi / refine) ** 2 if refine else 0.0)
+    worst, worst_lam = -math.inf, None
     for lam in lambdas:
-        forms = [("minkowski", combine_bodies(K, L, 1.0 - lam, lam, 1.0))]
-        if p != 1.0:
-            forms.append(
-                (f"lp(p={p:g})", combine_bodies(K, L, 1.0 - lam, lam, p,
-                                                refine=refine)))
-        for label, M in forms:
-            violation = gK ** (1.0 - lam) * gL**lam - gauss_volume_exact(M)
-            if violation > worst:
-                worst, worst_case = violation, (label, lam)
+        M = combine_bodies(K, L, 1.0 - lam, lam, p, refine=refine)
+        violation = gK ** (1.0 - lam) * gL**lam - gauss_volume_exact(M)
+        if violation > worst:
+            worst, worst_lam = violation, lam
     witness = json.dumps({
-        "form": worst_case[0],
-        "lambda": worst_case[1],
+        "p": p,
+        "lambda": worst_lam,
         "K": _body_witness(K),
         "L": _body_witness(L),
     })
@@ -275,15 +271,14 @@ def check_ball_bound(K: SupportPolygon) -> CheckResult:
     return _result("ball-bound", violation, witness, UNIFORM_SLACK)
 
 
-def check_uniqueness(K: SupportPolygon, L: SupportPolygon, p: float = 1.0,
-                     measure_tol: float = 1e-8,
-                     body_tol: float = 1e-6) -> CheckResult:
+def check_uniqueness(K: SupportPolygon, L: SupportPolygon,
+                     p: float = 1.0) -> CheckResult:
     """Equal L_p measures at volume >= 1/2 force equal bodies.
 
-    On the union normal grid, if the per-direction L_p masses of K and L
-    agree within measure_tol, their Hausdorff distance must be below
-    body_tol.  Bodies below the half-volume hypothesis are skipped with a
-    flag: that regime is genuinely non-unique, so no claim is checked.
+    If the L_p masses of K and L, each on its own edge normals, agree within
+    ``_MEASURE_TOL`` per direction, their Hausdorff distance must be below
+    ``_BODY_TOL``.  Bodies below the half-volume hypothesis are skipped with
+    a flag: that regime is genuinely non-unique, so no claim is checked.
     """
     if p < 1.0:
         raise ValueError("uniqueness is certified for p >= 1 only")
@@ -295,28 +290,24 @@ def check_uniqueness(K: SupportPolygon, L: SupportPolygon, p: float = 1.0,
             "gauss_volume_K": gK,
             "gauss_volume_L": gL,
         })
-        return _result("uniqueness", 0.0, witness, body_tol)
+        return _result("uniqueness", 0.0, witness, _BODY_TOL)
 
-    directions = np.vstack([K.normals, L.normals])
-    K_common = wulff_shape(directions, support_profile(K, directions))
-    L_common = wulff_shape(directions, support_profile(L, directions))
-    mK = lp_gauss_surface_polygon(K_common, p).as_discrete()
-    mL = lp_gauss_surface_polygon(L_common, p).as_discrete()
-    gap = _measure_gap(mK, mL)
+    gap = _measure_gap(lp_gauss_surface_polygon(K, p).as_discrete(),
+                       lp_gauss_surface_polygon(L, p).as_discrete())
     distance = body_hausdorff_distance(K, L)
-    if gap > measure_tol:
+    if gap > _MEASURE_TOL:
         witness = json.dumps({
-            "antecedent": f"measures differ by {gap:.6g} > {measure_tol:g}",
+            "antecedent": f"measures differ by {gap:.6g} > {_MEASURE_TOL:g}",
             "hausdorff": distance,
         })
-        return _result("uniqueness", 0.0, witness, body_tol)
+        return _result("uniqueness", 0.0, witness, _BODY_TOL)
     witness = json.dumps({
         "measure_gap": gap,
         "hausdorff": distance,
         "gauss_volume_K": gK,
         "gauss_volume_L": gL,
     })
-    return _result("uniqueness", distance, witness, body_tol)
+    return _result("uniqueness", distance, witness, _BODY_TOL)
 
 
 def _measure_gap(mu, nu) -> float:

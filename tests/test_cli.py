@@ -247,6 +247,14 @@ class TestConstantsCommand:
     def test_invalid_dimension(self, capsys):
         assert main(["constants", "--n", "1"]) == 2
 
+    def test_resolution_flag_not_accepted(self, capsys):
+        # constants reads no grid: --resolution is an argparse error naming
+        # the flag, not a range check on a value nobody uses
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--resolution", "32"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --resolution 32" in capsys.readouterr().err
+
 
 class TestMeasureCommand:
     def test_unit_square_masses(self, tmp_path, capsys):
@@ -294,6 +302,13 @@ class TestSolveDiscreteCommand:
         assert "no-uniqueness-certificate" in kv["flags"]
         body = serialize.body_from_dict(json.loads(body_path.read_text()))
         assert abs(gauss_volume_exact(body) - 0.5) < 1e-6
+
+    def test_seed_flag_not_accepted(self, capsys):
+        # a discrete solve is deterministic; a seed would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-discrete", "--input", "mu.json", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     def test_hemisphere_violation_is_invalid_input(self, tmp_path, capsys):
         from gaussmink.families import hemisphere_bad_measure

@@ -18,12 +18,18 @@ from gaussmink.discrete import (
     volume_gradient,
 )
 from gaussmink.errors import HemisphereConditionError, SolverStallError
-from gaussmink.families import random_spanning_measure, uniform_mgon_measure
+from gaussmink.families import (
+    cos_density,
+    random_spanning_measure,
+    uniform_mgon_measure,
+)
 from gaussmink.gaussian import (
+    field_gauss_volume,
     gauss_surface_polygon,
     gauss_volume_exact,
     lp_gauss_surface_polygon,
 )
+from gaussmink.smooth import solve_homotopy
 from gaussmink.geometry import (
     DiscreteMeasure,
     body_hausdorff_distance,
@@ -348,6 +354,20 @@ class TestSolveConstrained:
         report = solve_constrained(VariationalProblem(uniform_mgon_measure(512, 0.3), 1.0))
         assert abs(report.volume_residual) <= 1e-12
         assert len(calls) <= 25
+
+    def test_starts_on_the_volume_constraint(self):
+        # grid measure of the cos density at the volume of its smooth
+        # solution (about 0.857): from the ball of volume 1/2 this took 95
+        # Newton steps, from the ball of the target volume it takes 13
+        N = 256
+        f = cos_density(N, 0.045, 0.2, 2)
+        target = field_gauss_volume(solve_homotopy(f, 1.0).body)
+        theta = 2.0 * np.pi * np.arange(N) / N
+        mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                             f * 2.0 * np.pi / N)
+        report = solve_constrained(VariationalProblem(mu, 1.0, target_volume=target))
+        assert report.iterations <= 20
+        assert abs(report.volume_residual) <= 1e-9
 
     def test_minimality_against_brute_force(self):
         # 3-atom problems: solver objective must not exceed the best of

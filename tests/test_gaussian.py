@@ -21,6 +21,7 @@ from gaussmink.gaussian import (
     BALL_SURFACE_BOUND,
     EdgeMeasure,
     ball_gauss_volume,
+    ball_radius,
     constant_field_density,
     field_gauss_volume,
     gauss_constants,
@@ -377,6 +378,13 @@ class TestGaussConstants:
             0.36408224327825996, abs=1e-13)
         assert gauss_constants(2, 2.0).mass_bound == pytest.approx(
             0.30922298631399227, abs=1e-13)
+
+    def test_ball_radius_inverts_ball_volume(self):
+        assert ball_radius(0.5) == pytest.approx(R_HALF, rel=1e-15)
+        for n in (2, 3, 9):
+            for v in (1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+                assert ball_gauss_volume(ball_radius(v, n), n) == pytest.approx(
+                    v, rel=1e-12)
 
     def test_r_half_solves_volume_equation(self):
         for n in (2, 3, 4, 9):
