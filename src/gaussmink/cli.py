@@ -23,7 +23,7 @@ import numpy as np
 from . import serialize
 from .discrete import VariationalProblem, solve_constrained
 from .errors import SolverStallError
-from .families import FAMILY_NAMES, build_family, cos_density
+from .families import build_family, cos_density
 from .gaussian import gauss_constants, lp_gauss_surface_polygon
 from .geometry import SupportField
 from .smooth import HomotopyOptions, HomotopyStep, solve_homotopy
@@ -40,38 +40,52 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
+# the options each generate family reads, besides --output
+GENERATE_FLAGS = {"uniform-mgon": ("n", "p"), "square-measure": ("p",),
+                  "cos-density": ("resolution", "amplitude", "frequency"),
+                  "random-even": ("seed", "p"), "hemisphere-bad": ("seed", "p")}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """One normalized CLI invocation.
 
-    p and tol stay None when the flag was not given so each command can fall
-    back to its own default (e.g. the p recorded inside a measure file).
+    An option stays None when its flag was not given, so each command can
+    fall back to its own default (e.g. the p recorded inside a measure file)
+    and generate can refuse a flag its family does not read.
     """
 
     command: str
     input_path: str | None = None
     output_path: str | None = None
     p: float | None = None
-    resolution: int = 256
-    seed: int = 0
+    resolution: int | None = None
+    seed: int | None = None
     tol: float | None = None
     family: str | None = None
-    amplitude: float = 0.2
-    frequency: int = 2
+    amplitude: float | None = None
+    frequency: int | None = None
     n: int | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if self.command == "generate" and self.family in GENERATE_FLAGS:
+            unread = [f"--{name}" for name in ("p", "seed", "resolution", "n",
+                                               "amplitude", "frequency")
+                      if getattr(self, name) is not None
+                      and name not in GENERATE_FLAGS[self.family]]
+            if unread:
+                raise ValueError(f"generate {self.family} does not read "
+                                 f"{', '.join(unread)}")
         if self.p is not None and not math.isfinite(self.p):
             raise ValueError("p must be finite")
         lo, hi = RESOLUTION_RANGE
-        if not lo <= self.resolution <= hi:
+        if self.resolution is not None and not lo <= self.resolution <= hi:
             raise ValueError(f"resolution must lie in [{lo}, {hi}]")
         if self.tol is not None and not 0.0 < self.tol < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
 
@@ -132,20 +146,20 @@ def _smooth_density(config: RunConfig) -> np.ndarray:
         return _require_input(config, "density")
     if config.family is None:
         raise ValueError("solve-smooth needs --input or --family")
+    resolution = config.resolution if config.resolution is not None else 256
     if config.family == "constant":
-        return np.full(config.resolution, DEFAULT_DENSITY_LEVEL)
+        return np.full(resolution, DEFAULT_DENSITY_LEVEL)
     if config.family == "cos":
-        return cos_density(config.resolution, DEFAULT_DENSITY_LEVEL,
-                           config.amplitude, config.frequency)
+        return cos_density(resolution, DEFAULT_DENSITY_LEVEL,
+                           config.amplitude if config.amplitude is not None else 0.2,
+                           config.frequency if config.frequency is not None else 2)
     raise ValueError(f"unknown density family {config.family!r}; "
                      f"choose from {SMOOTH_FAMILIES}")
 
 
 def _cmd_solve_smooth(config: RunConfig) -> int:
     values = _smooth_density(config)
-    opts = HomotopyOptions(
-        resolution=len(values),
-        newton_tol=config.tol if config.tol is not None else 1e-11)
+    opts = HomotopyOptions() if config.tol is None else HomotopyOptions(config.tol)
     report = solve_homotopy(values, config.p if config.p is not None else 1.0,
                             opts)
     sys.stdout.write(serialize.report_text(report))
@@ -156,7 +170,7 @@ def _cmd_solve_smooth(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    results = run_suite(seed=config.seed,
+    results = run_suite(seed=config.seed if config.seed is not None else 0,
                         instances=config.n if config.n is not None else 100)
     _emit(config, format_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION_FAILURE
@@ -178,12 +192,11 @@ def _cmd_plot(config: RunConfig) -> int:
 
 
 def _cmd_generate(config: RunConfig) -> int:
-    if config.family is None:
-        raise ValueError(f"generate requires a family name from {FAMILY_NAMES}")
-    obj = build_family(config.family, seed=config.seed,
-                       resolution=config.resolution,
-                       m=config.n if config.n is not None else 8,
-                       amplitude=config.amplitude, frequency=config.frequency)
+    # the options not given take the family's own defaults
+    obj = build_family(config.family, **{
+        "m" if name == "n" else name: getattr(config, name)
+        for name in GENERATE_FLAGS.get(config.family, ())
+        if name != "p" and getattr(config, name) is not None})
     if isinstance(obj, np.ndarray):
         payload = serialize.density_to_dict(obj)
     else:
@@ -254,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--tol", type=float, default=None,
                              help="solver tolerance")
         if seed_flag:
-            cmd.add_argument("--seed", type=int, default=0, help="random seed")
+            cmd.add_argument("--seed", type=int, help="random seed")
         if resolution_flag:
-            cmd.add_argument("--resolution", type=int, default=256,
-                             help="grid resolution")
+            cmd.add_argument("--resolution", type=int, help="grid resolution")
         return cmd
 
     add("constants", "print the dimensional constants as key=value lines",
@@ -272,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                  resolution_flag=True)
     smooth.add_argument("--family", default=None,
                         help="built-in density family: constant or cos")
-    smooth.add_argument("--amplitude", type=float, default=0.2,
+    smooth.add_argument("--amplitude", type=float,
                         help="cos family modulation amplitude")
-    smooth.add_argument("--frequency", type=int, default=2,
+    smooth.add_argument("--frequency", type=int,
                         help="cos family modulation frequency")
     add("verify", "run the property-check suite", seed_flag=True).add_argument(
         "--n", type=int, default=100, help="number of random instances")
@@ -282,11 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = add("generate", "write a named deterministic test input",
               p_flag=True, seed_flag=True, resolution_flag=True,
               family_positional=True)
-    gen.add_argument("--n", type=int, default=8,
-                     help="atom count for uniform-mgon")
-    gen.add_argument("--amplitude", type=float, default=0.2,
+    gen.add_argument("--n", type=int, help="atom count for uniform-mgon")
+    gen.add_argument("--amplitude", type=float,
                      help="cos-density modulation amplitude")
-    gen.add_argument("--frequency", type=int, default=2,
+    gen.add_argument("--frequency", type=int,
                      help="cos-density modulation frequency")
     return parser
 

@@ -70,10 +70,16 @@ FLOOR_FACTOR = 16.0
 # the suggested tolerance is four floors, or the stalled residual if larger.
 _REACHABLE_FLOORS = 4.0
 
+# continuation and damping limits
+T_STEP_INITIAL = 0.25   # first and largest continuation step
+T_STEP_MIN = 1e-4       # a Newton failure below this t-step ends the solve
+NEWTON_MAX_ITERS = 30   # Newton steps per continuation step
+MAX_HALVINGS = 20       # damping halvings per Newton step
+
 
 @dataclass(frozen=True)
 class HomotopyOptions:
-    """Continuation settings for solve_homotopy.
+    """Settings for solve_homotopy; the grid is that of the density f.
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     residual cannot fall below its rounding floor, about
@@ -81,25 +87,16 @@ class HomotopyOptions:
     cos densities at N = 8192, four times that at twice the resolution.  The
     default 1e-11 is reachable up to N = 4096; when Newton stalls at the
     floor, solve_homotopy raises RoundingFloorError naming a tolerance that
-    is reachable.
+    is reachable.  r_star overrides the radius of the constant start; a
+    value failing the linearization guard or off the branch is re-chosen.
     """
 
-    resolution: int = 256
-    t_step_initial: float = 0.25
-    t_step_min: float = 1e-4
     newton_tol: float = 1e-11
-    newton_max_iters: int = 30
     r_star: float | None = None
 
     def __post_init__(self):
-        if self.resolution < 64 or self.resolution % 2 != 0:
-            raise ValueError("resolution must be an even integer >= 64")
-        if not 0.0 < self.t_step_min <= self.t_step_initial <= 1.0:
-            raise ValueError("need 0 < t_step_min <= t_step_initial <= 1")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be at least 1")
         if self.r_star is not None and not self.r_star > 0.0:
             raise ValueError("r_star override must be positive")
 
@@ -261,24 +258,25 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     return delta
 
 
-def newton_step(field: SupportField, f, p: float) -> SupportField:
+def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
     """One damped Newton update h <- h - t J^{-1} G toward density f.
 
-    The full step is halved (at most 20 times, and no further once the
-    candidate equals h) until the residual max-norm decreases and the
-    candidate stays a valid convex field.  When no damping level helps,
-    raises RoundingFloorError if the residual is within FLOOR_FACTOR of
-    _rounding_floor, and SolverStallError otherwise; the continuation driver
-    reacts to the latter by shrinking its t-step.
+    defect is residual(field, f, p).  Returns the new field with its
+    residual, the one the damping loop computed.  The full step is halved (at
+    most MAX_HALVINGS times, and no further once the candidate equals h)
+    until the residual max-norm decreases and the candidate stays a valid
+    convex field.  When no damping level helps, raises RoundingFloorError if
+    the residual is within FLOOR_FACTOR of _rounding_floor, and
+    SolverStallError otherwise; the continuation driver reacts to the latter
+    by shrinking its t-step.
     """
-    defect = residual(field, f, p)
     base = float(np.max(np.abs(defect)))
     sub, diag, sup = _jacobian_bands(field.h, field.step, p)
     delta = solve_cyclic_tridiagonal(sub, diag, sup, defect)
     if not np.any(delta):
-        return field
+        return field, defect
     t = 1.0
-    for _ in range(20):
+    for _ in range(MAX_HALVINGS):
         candidate = field.h - t * delta
         if np.array_equal(candidate, field.h):
             break  # every smaller t evaluates the same point
@@ -287,8 +285,9 @@ def newton_step(field: SupportField, f, p: float) -> SupportField:
         except (ConvexityError, ValueError):
             t *= 0.5
             continue
-        if float(np.max(np.abs(residual(trial, f, p)))) < base:
-            return trial
+        trial_defect = residual(trial, f, p)
+        if float(np.max(np.abs(trial_defect))) < base:
+            return trial, trial_defect
         t *= 0.5
     floor = _rounding_floor(field, p)
     if base <= FLOOR_FACTOR * floor:
@@ -319,19 +318,23 @@ def _round_up(x: float) -> float:
     return math.ceil(x / scale) * scale
 
 
-def _newton_solve(field, f_target, p, opts):
-    """Newton iteration to residual max-norm <= newton_tol; returns (field, iters)."""
-    current = field
-    for it in range(opts.newton_max_iters + 1):
-        if float(np.max(np.abs(residual(current, f_target, p)))) <= opts.newton_tol:
-            return current, it
-        current = newton_step(current, f_target, p)
+def _newton_solve(field, f_target, p, tol):
+    """Newton iteration to residual max-norm <= tol.
+
+    Returns (field, iterations, residual max-norm).
+    """
+    defect = residual(field, f_target, p)
+    for it in range(NEWTON_MAX_ITERS + 1):
+        norm = float(np.max(np.abs(defect)))
+        if norm <= tol:
+            return field, it, norm
+        field, defect = newton_step(field, f_target, p, defect)
     raise SolverStallError(
-        f"Newton did not reach tolerance in {opts.newton_max_iters} iterations"
+        f"Newton did not reach tolerance in {NEWTON_MAX_ITERS} iterations"
     )
 
 
-def _choose_constant_start(p, opts, flags):
+def _choose_constant_start(p, resolution, r_star, flags):
     """Admissible constant-start radius on the volume > 1/2 branch.
 
     Default is the midpoint of [branch floor, R_STAR_CEILING]; a candidate
@@ -341,14 +344,13 @@ def _choose_constant_start(p, opts, flags):
     r_half = gauss_constants(2, p).r_half
     floor = max(r_half, math.sqrt(2.0 - p)) if p < 2.0 else r_half
     width = R_STAR_CEILING - floor
-    if opts.r_star is not None:
-        r_star = opts.r_star
+    if r_star is not None:
         u = (r_star - floor) / width if floor < r_star < R_STAR_CEILING else 0.5
     else:
         r_star = floor + 0.5 * width
         u = 0.5
     for _ in range(64):
-        if not linearized_guard(r_star, p, opts.resolution):
+        if not linearized_guard(r_star, p, resolution):
             reason = "eigenvalue collision in the linearized operator"
         elif r_star <= floor + 1e-9 or r_star > R_STAR_CEILING:
             reason = "constant start off the certified branch"
@@ -367,7 +369,7 @@ def _choose_constant_start(p, opts, flags):
 def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveReport:
     """Track the constant solution to a solution of density = f.
 
-    f is sampled on the uniform angle grid of the options' resolution and
+    f is sampled on N uniform angles, N = len(f) even and at least 64, and
     must be positive with total mass below the solvability threshold; the
     threshold check runs before any continuation step.  The returned report
     carries the solution field, the max-norm equation residual, the volume
@@ -375,9 +377,12 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
     """
     f = np.asarray(f, dtype=float)
     if opts is None:
-        opts = HomotopyOptions(resolution=len(f))
-    if f.shape != (opts.resolution,):
-        raise ValueError("f must be sampled on the options' resolution grid")
+        opts = HomotopyOptions()
+    if f.ndim != 1:
+        raise ValueError("f must be sampled on a one-dimensional angle grid")
+    n = len(f)
+    if n < 64 or n % 2 != 0:
+        raise ValueError("resolution must be an even integer >= 64")
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("f must be positive and finite")
     if p <= 0.0:
@@ -386,8 +391,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
     flags: list[str] = []
     if p < 1.0:
         flags.append("uncertified")
-    half = opts.resolution // 2
-    if float(np.max(np.abs(f - np.roll(f, half)))) > 1e-12 * float(np.max(f)):
+    if float(np.max(np.abs(f - np.roll(f, n // 2)))) > 1e-12 * float(np.max(f)):
         flags.append("no-uniqueness-certificate")
 
     total_mass = TWO_PI * float(np.mean(f))
@@ -398,33 +402,33 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
             f"threshold {bound:.6g} for p = {p:g}"
         )
 
-    r0 = _choose_constant_start(p, opts, flags)
+    r0 = _choose_constant_start(p, n, opts.r_star, flags)
     c0 = constant_field_density(r0, p)
-    field = SupportField(opts.resolution, np.full(opts.resolution, r0))
+    field = SupportField(n, np.full(n, r0))
     steps = [
         HomotopyStep(
             t=0.0,
             newton_iters=0,
-            residual=float(np.max(np.abs(residual(field, np.full(opts.resolution, c0), p)))),
+            residual=float(np.max(np.abs(residual(field, np.full(n, c0), p)))),
             min_convexity=field.min_convexity(),
             gauss_volume=field_gauss_volume(field),
         )
     ]
 
     t = 0.0
-    dt = opts.t_step_initial
+    dt = T_STEP_INITIAL
     total_newton = 0
     while t < 1.0:
         t_next = min(1.0, t + dt)
         f_target = (1.0 - t_next) * c0 + t_next * f
         try:
-            new_field, iters = _newton_solve(field, f_target, p, opts)
+            new_field, iters, norm = _newton_solve(field, f_target, p, opts.newton_tol)
         except RoundingFloorError as exc:
             # the floor depends only on h and N: a smaller t-step cannot lower it
             reachable = _round_up(max(_REACHABLE_FLOORS * exc.floor, exc.residual))
             raise RoundingFloorError(
                 f"Newton stalled at the rounding floor of the residual "
-                f"(N = {opts.resolution}, p = {p:g}, reached t = {t:.6g}): "
+                f"(N = {n}, p = {p:g}, reached t = {t:.6g}): "
                 f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
                 f"requested newton_tol = {opts.newton_tol:g}; tolerances from about "
                 f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
@@ -432,10 +436,10 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
             ) from None
         except SolverStallError:
             dt *= 0.5
-            if dt < opts.t_step_min:
+            if dt < T_STEP_MIN:
                 raise SolverStallError(
                     f"continuation step fell below t_step_min = "
-                    f"{opts.t_step_min:g} at t = {t:.6g}",
+                    f"{T_STEP_MIN:g} at t = {t:.6g}",
                     trace=list(steps),
                 ) from None
             continue
@@ -450,7 +454,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
             HomotopyStep(
                 t=t_next,
                 newton_iters=iters,
-                residual=float(np.max(np.abs(residual(new_field, f_target, p)))),
+                residual=norm,
                 min_convexity=new_field.min_convexity(),
                 gauss_volume=gamma,
             )
@@ -459,7 +463,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
         total_newton += iters
         t = t_next
         if iters <= 4:
-            dt = min(2.0 * dt, opts.t_step_initial)
+            dt = min(2.0 * dt, T_STEP_INITIAL)
 
     trace = HomotopyTrace(tuple(steps))
     density = smooth_lp_density(field, p)

@@ -117,7 +117,7 @@ def test_two_homotopy_starts_reach_the_same_body():
                  (cos_density(256, 0.030, 0.2, 2), 2.0),
                  (cos_density(256, 0.040, 0.15, 4), 1.5)]
     for f, p in densities:
-        runs = [solve_homotopy(f, p, HomotopyOptions(resolution=256, r_star=r))
+        runs = [solve_homotopy(f, p, HomotopyOptions(r_star=r))
                 for r in (1.5, 2.6)]
         gap = np.max(np.abs(runs[0].body.h - runs[1].body.h))
         assert gap <= 1e-6
@@ -145,7 +145,7 @@ def test_error_paths_refuse_with_diagnosis(tmp_path, capsys, caplog):
         solve_homotopy(np.full(256, 0.08), 1.0)
 
     f = cos_density(256, 0.045, 0.2, 2)
-    opts = HomotopyOptions(resolution=256, r_star=1.0)  # (2-p) - r0^2 = 0
+    opts = HomotopyOptions(r_star=1.0)  # (2-p) - r0^2 = 0
     with caplog.at_level(logging.INFO):
         report = solve_homotopy(f, 1.0, opts)
     rechosen = [fl for fl in report.flags if "re-chosen" in fl]

@@ -1,5 +1,6 @@
 """Serialization formats and the command-line front end."""
 
+import hashlib
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from gaussmink import cli, serialize
 from gaussmink.cli import RunConfig, main
-from gaussmink.families import cos_density, square_surface_measure
+from gaussmink.families import FAMILY_NAMES, cos_density, square_surface_measure
 from gaussmink.gaussian import (gauss_constants, gauss_volume_exact,
                                 lp_gauss_surface_polygon)
 from gaussmink.geometry import (DiscreteMeasure, SupportField, box_polygon,
@@ -419,6 +420,25 @@ class TestSolveSmoothCommand:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["stationarity_residual"]) <= 1e-10
 
+    # sha256 of the --output field file, iterations=, homotopy_steps=
+    PINNED_COS_256 = {
+        "1": ("dd1a2107bec8b590d06cd642a87f854f4497d1853d9918ea3391980581d52d90", 12, 5),
+        "1.5": ("bb175911e60561d30e1e9dc1314e7945268be5606fa32b996b361e648fde4dd9", 15, 5),
+        "2": ("7561c2b818a918f48f81cd4afb26b9546058a9c13bd93acec2c35f80a9e3e4b5", 16, 5),
+    }
+
+    @pytest.mark.parametrize("p", sorted(PINNED_COS_256))
+    def test_pinned_cos_field(self, p, tmp_path, capsys):
+        out = tmp_path / "field.json"
+        assert main(["solve-smooth", "--family", "cos", "--resolution", "256",
+                     "--p", p, "--output", str(out)]) == 0
+        digest, iterations, steps = self.PINNED_COS_256[p]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        kv = parse_kv(capsys.readouterr().out)
+        assert (int(kv["iterations"]), int(kv["homotopy_steps"])) == (iterations, steps)
+        # the residual sits at round-off: bounded by the tolerance, not pinned
+        assert float(kv["stationarity_residual"]) <= 1e-11
+
     def test_deterministic_stdout(self, capsys):
         argv = ["solve-smooth", "--family", "cos", "--resolution", "128"]
         assert main(argv) == 0
@@ -508,6 +528,35 @@ class TestGenerateCommand:
     def test_unknown_name_is_invalid_input(self, capsys):
         assert main(["generate", "klein-bottle"]) == 2
         assert "unknown family" in capsys.readouterr().err
+
+    def test_every_family_lists_the_flags_it_reads(self):
+        assert set(cli.GENERATE_FLAGS) == set(FAMILY_NAMES)
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["uniform-mgon", "--resolution", "32"], "--resolution"),
+        (["uniform-mgon", "--seed", "9", "--amplitude", "0.9"], "--seed, --amplitude"),
+        (["square-measure", "--seed", "0"], "--seed"),
+        (["cos-density", "--p", "2"], "--p"),
+        (["random-even", "--n", "4"], "--n"),
+        (["hemisphere-bad", "--frequency", "3"], "--frequency"),
+    ])
+    def test_unread_flag_is_invalid_input(self, argv, unread, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", *argv, "--output", str(out)]) == 2
+        assert f"generate {argv[0]} does not read {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,defaults", [
+        (["uniform-mgon", "--n", "8", "--p", "1"], ["uniform-mgon"]),
+        (["cos-density", "--resolution", "256", "--amplitude", "0.2",
+          "--frequency", "2"], ["cos-density"]),
+        (["random-even", "--seed", "0"], ["random-even"]),
+    ])
+    def test_default_values_write_the_same_file(self, argv, defaults, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["generate", *argv, "--output", str(a)]) == 0
+        assert main(["generate", *defaults, "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

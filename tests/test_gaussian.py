@@ -32,7 +32,6 @@ from gaussmink.gaussian import (
     scale_to_gauss_volume,
     smooth_lp_density,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
 )
 from gaussmink.geometry import (
@@ -50,6 +49,10 @@ PHI_ONE = 0.84134474606854294859       # mpmath quadrature of the defining integ
 PSI_3_4 = 0.6744897501960817432        # mpmath bisection on Phi
 SQUARE_EDGE_MASS = 0.16519087103401669  # e^{-1/2}(2 Phi(1)-1)/sqrt(2 pi)
 SQUARE_VOLUME = 0.46606494267439227    # (2 Phi(1)-1)^2
+
+
+def std_normal_pdf(x):
+    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
 class TestNormalCdf:
@@ -102,6 +105,15 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 std_normal_quantile(bad)
+
+    def test_far_tail(self):
+        # q = 10^-u, u uniform on [0, 300]; a Newton polish that fell back
+        # to bisection used to leave q < 1e-47 tens of orders off
+        q = 10.0 ** -np.random.default_rng(0).uniform(0.0, 300.0, 20000)
+        rel = np.abs(std_normal_cdf(std_normal_quantile(q)) - q) / q
+        assert rel.max() <= 1e-11
+        assert std_normal_quantile(8.15631149769826e-192) == pytest.approx(
+            -29.5192283467, abs=1e-9)
 
     @pytest.mark.parametrize("q", [1e-300, 1e-16, 0.5, 1.0 - 1e-16])
     def test_round_trip_at_rounding_level(self, q):

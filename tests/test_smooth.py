@@ -185,18 +185,23 @@ class TestNewtonStep:
     def test_zero_step_at_solution(self):
         fld = harmonics_field()
         f = smooth_lp_density(fld, 1.0)
-        out = newton_step(fld, f, 1.0)
+        defect = residual(fld, f, 1.0)
+        out, out_defect = newton_step(fld, f, 1.0, defect)
         np.testing.assert_array_equal(out.h, fld.h)
+        assert out_defect is defect
 
     def test_weak_quadratic_convergence(self):
         f = cos_density(0.045, 0.2, 2, 64)
         fld = SupportField(64, np.full(64, 2.0))
-        norms = [float(np.max(np.abs(residual(fld, f, 1.0))))]
+        defect = residual(fld, f, 1.0)
+        norms = [float(np.max(np.abs(defect)))]
         for _ in range(8):
             if norms[-1] < 1e-14:
                 break
-            fld = newton_step(fld, f, 1.0)
-            norms.append(float(np.max(np.abs(residual(fld, f, 1.0)))))
+            fld, defect = newton_step(fld, f, 1.0, defect)
+            # the returned residual is the new field's
+            np.testing.assert_array_equal(defect, residual(fld, f, 1.0))
+            norms.append(float(np.max(np.abs(defect))))
         assert norms[-1] < 1e-13
         small = [r for r in norms if r < 1e-3]
         assert len(small) >= 2
@@ -208,17 +213,11 @@ class TestNewtonStep:
         fld = SupportField(64, np.ones(64))
         f = cos_density(constant_field_density(1.0, 1.0), 0.1, 2, 64)
         with pytest.raises(SolverStallError):
-            newton_step(fld, f, 1.0)
+            newton_step(fld, f, 1.0, residual(fld, f, 1.0))
 
 
 class TestOptionsAndTrace:
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            HomotopyOptions(resolution=63)
-        with pytest.raises(ValueError):
-            HomotopyOptions(resolution=32)
-        with pytest.raises(ValueError):
-            HomotopyOptions(t_step_initial=0.1, t_step_min=0.2)
         with pytest.raises(ValueError):
             HomotopyOptions(newton_tol=0.0)
         with pytest.raises(ValueError):
@@ -241,12 +240,10 @@ class TestOptionsAndTrace:
 
 
 class TestSolveHomotopy:
-    def test_constant_target_is_one_step(self):
+    def test_constant_target_needs_no_newton_step(self):
         level = constant_field_density(2.0, 1.0)
-        rep = solve_homotopy(
-            np.full(512, level), 1.0,
-            HomotopyOptions(resolution=512, r_star=2.0, t_step_initial=1.0))
-        assert [s.t for s in rep.homotopy_trace] == [0.0, 1.0]
+        rep = solve_homotopy(np.full(512, level), 1.0, HomotopyOptions(r_star=2.0))
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert rep.iterations == 0
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-14)
 
@@ -255,11 +252,28 @@ class TestSolveHomotopy:
         rep = solve_homotopy(np.full(512, level), 1.0)
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-8)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_each_iterate_is_evaluated_once(self, p, monkeypatch):
+        # every residual call is on a new (field, target) pair: the damping
+        # loop's residual of the accepted step is reused for the tolerance
+        # check, the next Newton step and the trace record
+        seen = []
+
+        def recording(field, f, q):
+            assert not any(a is field and b is f for a, b in seen)
+            seen.append((field, f))
+            return residual(field, f, q)
+
+        monkeypatch.setattr(smooth, "residual", recording)
+        rep = solve_homotopy(cos_density(0.045, 0.2, 2, 256), p)
+        assert rep.stationarity_residual <= 1e-9
+        assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations
+
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_cos_perturbation(self, p, level):
         n = 512
         f = cos_density(level, 0.2, 2, n)
-        rep = solve_homotopy(f, p, HomotopyOptions(resolution=n))
+        rep = solve_homotopy(f, p)
         assert rep.stationarity_residual <= 1e-9
         dens = smooth_lp_density(rep.body, p)
         assert np.max(np.abs(dens - f)) <= 4.0 / n**2
@@ -271,10 +285,8 @@ class TestSolveHomotopy:
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_grid_refinement(self, p, level):
         n = 256
-        coarse = solve_homotopy(cos_density(level, 0.2, 2, n), p,
-                                HomotopyOptions(resolution=n)).body.h
-        fine = solve_homotopy(cos_density(level, 0.2, 2, 2 * n), p,
-                              HomotopyOptions(resolution=2 * n)).body.h
+        coarse = solve_homotopy(cos_density(level, 0.2, 2, n), p).body.h
+        fine = solve_homotopy(cos_density(level, 0.2, 2, 2 * n), p).body.h
         assert np.max(np.abs(coarse - fine[::2])) <= 8.0 / n**2
 
     def test_mass_bound_refused_before_stepping(self):
@@ -282,11 +294,11 @@ class TestSolveHomotopy:
         # threshold 0.3641; the collision override must never be consulted
         with pytest.raises(MassBoundError):
             solve_homotopy(np.full(512, 0.08), 1.0,
-                           HomotopyOptions(resolution=512, r_star=1.0))
+                           HomotopyOptions(r_star=1.0))
 
     def test_collision_override_triggers_logged_rechoice(self):
         f = cos_density(0.045, 0.1, 2, 512)
-        rep = solve_homotopy(f, 1.0, HomotopyOptions(resolution=512, r_star=1.0))
+        rep = solve_homotopy(f, 1.0, HomotopyOptions(r_star=1.0))
         notes = [fl for fl in rep.flags if "re-chosen" in fl]
         assert len(notes) == 1
         assert "r* = 1 " in notes[0]
@@ -294,37 +306,36 @@ class TestSolveHomotopy:
 
     def test_distinct_starts_agree(self):
         f = cos_density(0.045, 0.1, 2, 512)
-        opts = dict(resolution=512)
-        rep1 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=1.5, **opts))
-        rep2 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=2.6, **opts))
+        rep1 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=1.5))
+        rep2 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=2.6))
         d = body_hausdorff_distance(field_to_polygon(rep1.body),
                                     field_to_polygon(rep2.body))
         assert d <= 1e-6
 
     def test_subunit_exponent_flagged_uncertified(self):
-        rep = solve_homotopy(cos_density(0.045, 0.1, 2, 256), 0.7,
-                             HomotopyOptions(resolution=256))
+        rep = solve_homotopy(cos_density(0.045, 0.1, 2, 256), 0.7)
         assert "uncertified" in rep.flags
         assert rep.stationarity_residual <= 1e-9
 
     def test_odd_density_flagged_without_certificate(self):
         theta = grid(256)
         f = 0.045 * (1.0 + 0.2 * np.cos(theta))
-        rep = solve_homotopy(f, 1.0, HomotopyOptions(resolution=256))
+        rep = solve_homotopy(f, 1.0)
         assert "no-uniqueness-certificate" in rep.flags
         assert rep.stationarity_residual <= 1e-9
 
     def test_input_validation(self):
+        for n in (50, 63, 32):  # grid below the floor, or odd
+            with pytest.raises(ValueError, match="even integer >= 64"):
+                solve_homotopy(np.full(n, 0.04), 1.0)
         with pytest.raises(ValueError):
-            solve_homotopy(np.full(50, 0.04), 1.0)  # grid below the floor
+            solve_homotopy(np.full((64, 2), 0.04), 1.0)
         with pytest.raises(ValueError):
             solve_homotopy(-np.ones(128), 1.0)
         with pytest.raises(ValueError):
             solve_homotopy(np.full(128, np.nan), 1.0)
         with pytest.raises(ValueError):
             solve_homotopy(np.full(128, 0.04), 0.0)
-        with pytest.raises(ValueError):
-            solve_homotopy(np.full(128, 0.04), 1.0, HomotopyOptions(resolution=256))
 
     def test_ellipse_field_to_polygon_support(self):
         theta = grid(256)
@@ -346,9 +357,9 @@ class TestRoundingFloor:
         """(field, target) of every newton_step call that raises."""
         failures = []
 
-        def recording(field, f, p):
+        def recording(field, f, p, defect):
             try:
-                return newton_step(field, f, p)
+                return newton_step(field, f, p, defect)
             except SolverStallError:
                 failures.append((field, f))
                 raise
@@ -382,13 +393,13 @@ class TestRoundingFloor:
         assert len(failed_steps) <= 1  # 12, 12 and 18 with t-step halving
         # the tolerance the message suggests is reachable
         tol = float(message.rsplit("--tol >= ", 1)[1])
-        rep = solve_homotopy(f, p, HomotopyOptions(resolution=self.N, newton_tol=tol))
+        rep = solve_homotopy(f, p, HomotopyOptions(newton_tol=tol))
         assert rep.stationarity_residual <= tol
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_tolerance_above_floor_solves(self, p, failed_steps):
         f = cos_density(0.045, 0.2, 2, self.N)
-        rep = solve_homotopy(f, p, HomotopyOptions(resolution=self.N, newton_tol=1e-10))
+        rep = solve_homotopy(f, p, HomotopyOptions(newton_tol=1e-10))
         assert rep.stationarity_residual <= 1e-10
         assert not failed_steps
 
@@ -400,9 +411,10 @@ class TestRoundingFloor:
         with pytest.raises(RoundingFloorError):
             solve_homotopy(cos_density(0.045, 0.2, 2, self.N), p)
         field, f = failed_steps[0]
+        defect = residual(field, f, p)
         evaluated = []
         monkeypatch.setattr(smooth, "residual",
                             lambda fld, g, q: evaluated.append(fld) or residual(fld, g, q))
         with pytest.raises(RoundingFloorError):
-            newton_step(field, f, p)
-        assert len(evaluated) < 1 + 20  # the base residual and each damping level
+            newton_step(field, f, p, defect)
+        assert len(evaluated) < smooth.MAX_HALVINGS  # one per damping level
