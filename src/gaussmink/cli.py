@@ -44,6 +44,10 @@ EXIT_NO_CONVERGENCE = 3
 GENERATE_FLAGS = {"uniform-mgon": ("n", "p"), "square-measure": ("p",),
                   "cos-density": ("resolution", "amplitude", "frequency"),
                   "random-even": ("seed", "p"), "hemisphere-bad": ("seed", "p")}
+# the options each solve-smooth density source reads, besides --p, --tol
+# and --output
+SMOOTH_FLAGS = {"--input": (), "--family constant": ("family", "resolution"),
+                "--family cos": ("family", "resolution", "amplitude", "frequency")}
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,9 @@ class RunConfig:
     """One normalized CLI invocation.
 
     An option stays None when its flag was not given, so each command can
-    fall back to its own default (e.g. the p recorded inside a measure file)
-    and generate can refuse a flag its family does not read.
+    fall back to its own default (e.g. the p recorded inside a measure file),
+    generate can refuse a flag its family does not read, and solve-smooth a
+    flag its density source (--input or a --family) does not read.
     """
 
     command: str
@@ -70,13 +75,20 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.command == "generate" and self.family in GENERATE_FLAGS:
-            unread = [f"--{name}" for name in ("p", "seed", "resolution", "n",
-                                               "amplitude", "frequency")
-                      if getattr(self, name) is not None
-                      and name not in GENERATE_FLAGS[self.family]]
+        if self.command == "solve-smooth":
+            source = ("--input" if self.input_path is not None
+                      else f"--family {self.family}")
+            reads = SMOOTH_FLAGS.get(source)
+            checked = ("family", "resolution", "amplitude", "frequency")
+        else:
+            source = self.family
+            reads = GENERATE_FLAGS.get(source) if self.command == "generate" else None
+            checked = ("p", "seed", "resolution", "n", "amplitude", "frequency")
+        if reads is not None:
+            unread = [f"--{name}" for name in checked
+                      if getattr(self, name) is not None and name not in reads]
             if unread:
-                raise ValueError(f"generate {self.family} does not read "
+                raise ValueError(f"{self.command} {source} does not read "
                                  f"{', '.join(unread)}")
         if self.p is not None and not math.isfinite(self.p):
             raise ValueError("p must be finite")
@@ -120,10 +132,12 @@ def _cmd_constants(config: RunConfig) -> int:
 def _cmd_measure(config: RunConfig) -> int:
     body = _require_input(config, "body")
     em = lp_gauss_surface_polygon(body, config.p if config.p is not None else 1.0)
-    sys.stdout.write(serialize.edge_measure_text(em))
     if config.output_path is not None:
-        _write_output(config.output_path,
-                      serialize.dumps_json(serialize.edge_measure_to_dict(em)))
+        # as_discrete refuses a body whose edge masses all underflow to 0:
+        # fail before anything is printed
+        _write_output(config.output_path, serialize.dumps_json(
+            serialize.measure_to_dict(em.as_discrete(), em.p_exponent)))
+    sys.stdout.write(serialize.edge_measure_text(em))
     return EXIT_OK
 
 

@@ -23,8 +23,9 @@ integral e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi) over the edge's signed
 tangential extent [t0, t1] about the foot of the perpendicular.  The L_p
 variant reweights each edge by h^(1-p), since x . nu is constant on a facet.
 For smooth bodies given by a periodic support sample, the corresponding
-density w.r.t. arc measure is (1/2pi) h^(1-p) e^{-(h'^2+h^2)/2} (h'' + h)
-with periodic central differences.
+density w.r.t. arc measure is (1/2pi) h^(1-p) e^{-(h'^2+h^2)/2} (h'' + h),
+with h' and h'' + h the periodic central differences that SupportField
+computes on construction (its slope and curvature).
 
 Phi is evaluated through the complementary error function and Psi = Phi^{-1}
 by scipy's ndtri; the pair is consistent to about 5e-13 relative, from the
@@ -276,17 +277,11 @@ def smooth_lp_density(field: SupportField, p: float) -> np.ndarray:
     """Density of the L_p-Gaussian surface area measure w.r.t. arc length.
 
     g_k = (1/2pi) h_k^(1-p) e^{-((Dh)_k^2 + h_k^2)/2} ((D^2 h)_k + h_k) with
-    periodic central differences.  Field construction has already verified
-    the convexity surrogate (D^2 h + h) > 0, so the density is positive.
+    the field's slope Dh and curvature D^2 h + h.  Field construction has
+    already verified that the curvature is positive, so the density is too.
     """
-    return _lp_density_values(field.h, field.step, p)
-
-
-def _lp_density_values(h: np.ndarray, step: float, p: float) -> np.ndarray:
-    """Density formula on raw samples; no convexity validation (solver use)."""
-    d = (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * step)
-    s = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (step * step)
-    return h ** (1.0 - p) * np.exp(-0.5 * (d * d + h * h)) * (s + h) / TWO_PI
+    h, d = field.h, field.slope
+    return h ** (1.0 - p) * np.exp(-0.5 * (d * d + h * h)) * field.curvature / TWO_PI
 
 
 def constant_field_density(r: float, p: float) -> float:
@@ -306,11 +301,9 @@ def field_gauss_volume(field: SupportField) -> float:
     evaluated with the periodic trapezoid rule (spectrally accurate for
     smooth h).
     """
-    h = field.h
-    d = field.first_difference()
-    s = field.second_difference()
+    h, d = field.h, field.slope
     r2 = h * h + d * d
-    jac = h * (s + h) / r2
+    jac = h * field.curvature / r2
     return float(np.mean(-np.expm1(-0.5 * r2) * jac))
 
 

@@ -17,14 +17,14 @@ angle alpha hits the unique edge whose vertex-angle sector contains alpha, so
 lookups are a binary search over vertex angles rather than a scan over edges.
 
 Also here: discrete measures on the circle with the closed-half-circle
-spanning test, and periodic support-function samples on the circle with their
-difference stencils.
+spanning test, and periodic support-function samples on the circle, which
+hold the one copy of the central-difference stencil.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -429,13 +429,20 @@ def check_hemisphere_condition(mu: DiscreteMeasure, epsilon: float = 1e-8) -> bo
 class SupportField:
     """Periodic sample of a support function h on the circle.
 
-    h[k] is the value at theta_k = 2 pi k / N.  The discrete convexity
-    surrogate (D2 h + h) with the periodic central second difference must be
-    positive at every node; construction fails otherwise.
+    h[k] is the value at theta_k = 2 pi k / N.  Construction computes the
+    periodic central differences once, both read-only like h:
+
+        slope[k]     = (D h)_k       = (h_{k+1} - h_{k-1}) / (2 step)
+        curvature[k] = (D^2 h + h)_k = (h_{k+1} - 2 h_k + h_{k-1}) / step^2 + h_k.
+
+    curvature is the discrete convexity surrogate; it must be positive at
+    every node, and construction fails otherwise.
     """
 
     resolution: int
     h: np.ndarray
+    slope: np.ndarray = field(init=False, repr=False, compare=False)
+    curvature: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -443,12 +450,15 @@ class SupportField:
             raise ValueError("h must have length equal to the resolution")
         if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
             raise ValueError("support values must be positive and finite")
-        conv = periodic_second_difference(h, self.step) + h
-        if np.any(conv <= 0.0):
-            node = int(np.argmin(conv))
-            raise ConvexityError(node, float(conv[node]))
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        up, down, step = _rotate(h, 1), _rotate(h, -1), self.step
+        curvature = (up - 2.0 * h + down) / (step * step) + h
+        if np.any(curvature <= 0.0):
+            node = int(np.argmin(curvature))
+            raise ConvexityError(node, float(curvature[node]))
+        slope = (up - down) / (2.0 * step)
+        for name, values in (("h", h), ("slope", slope), ("curvature", curvature)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def step(self) -> float:
@@ -457,25 +467,6 @@ class SupportField:
     @property
     def theta(self) -> np.ndarray:
         return TWO_PI * np.arange(self.resolution) / self.resolution
-
-    def first_difference(self) -> np.ndarray:
-        return periodic_first_difference(self.h, self.step)
-
-    def second_difference(self) -> np.ndarray:
-        return periodic_second_difference(self.h, self.step)
-
-    def min_convexity(self) -> float:
-        return float(np.min(self.second_difference() + self.h))
-
-
-def periodic_first_difference(h: np.ndarray, step: float) -> np.ndarray:
-    """Central difference (h_{k+1} - h_{k-1}) / (2 step) with wraparound."""
-    return (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * step)
-
-
-def periodic_second_difference(h: np.ndarray, step: float) -> np.ndarray:
-    """Central difference (h_{k+1} - 2 h_k + h_{k-1}) / step^2 with wraparound."""
-    return (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (step * step)
 
 
 def field_to_polygon(fld: SupportField) -> SupportPolygon:

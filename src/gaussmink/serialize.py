@@ -5,7 +5,6 @@ JSON payloads:
 * body: ``{"dimension": 2, "normals": [[x, y], ...], "support": [h1, ...]}``
 * measure: ``{"dimension": 2, "p": 1.0, "atoms": [{"direction": [x, y],
   "mass": m}, ...]}``
-* edge measure: ``{"p": ..., "edges": [{"normal": [x, y], "mass": m}, ...]}``
 * density or support field (theta implicit at 2 pi k / N):
   ``{"resolution": N, "values": [...]}``
 
@@ -65,24 +64,6 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _weighted_entries(entries, what: str, key: str) -> tuple[list, np.ndarray]:
-    """Vectors and masses of a list of {key: [x, y], "mass": m} objects.
-
-    Raises ValueError naming the first entry of the wrong shape.
-    """
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"'{what}s' must be a nonempty JSON array")
-    for i, entry in enumerate(entries):
-        vector = entry.get(key) if isinstance(entry, dict) else None
-        if not (isinstance(vector, list) and len(vector) == 2
-                and all(map(_is_number, vector)) and _is_number(entry.get("mass"))):
-            raise ValueError(f"{what} {i} must be an object with a numeric "
-                             f"'{key}' pair [x, y] and a numeric 'mass', "
-                             f"got {json.dumps(entry)}")
-    return ([entry[key] for entry in entries],
-            np.array([entry["mass"] for entry in entries], dtype=float))
-
-
 def dumps_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -110,27 +91,27 @@ def measure_to_dict(mu: DiscreteMeasure, p: float = 1.0) -> dict:
 
 
 def measure_from_dict(data: dict) -> tuple[DiscreteMeasure, float]:
-    """Return the measure and the exponent p recorded beside it."""
+    """Return the measure and the exponent p recorded beside it.
+
+    Raises ValueError naming the first atom of the wrong shape.
+    """
     if not isinstance(data, dict) or "atoms" not in data:
         raise ValueError("measure payload needs an 'atoms' key")
     if data.get("dimension", 2) != 2:
         raise ValueError("only planar measures are supported")
-    vectors, masses = _weighted_entries(data["atoms"], "atom", "direction")
-    return (DiscreteMeasure(2, _unit_rows(vectors, "directions"), masses),
-            float(data.get("p", 1.0)))
-
-
-def edge_measure_to_dict(em: EdgeMeasure) -> dict:
-    edges = [{"normal": [_sig(n[0]), _sig(n[1])], "mass": _sig(m)}
-             for n, m in zip(em.normals, em.masses)]
-    return {"p": _sig(em.p_exponent), "edges": edges}
-
-
-def edge_measure_from_dict(data: dict) -> EdgeMeasure:
-    if not isinstance(data, dict) or "edges" not in data:
-        raise ValueError("edge measure payload needs an 'edges' key")
-    vectors, masses = _weighted_entries(data["edges"], "edge", "normal")
-    return EdgeMeasure(_unit_rows(vectors, "normals"), masses, float(data.get("p", 1.0)))
+    atoms = data["atoms"]
+    if not isinstance(atoms, list) or not atoms:
+        raise ValueError("'atoms' must be a nonempty JSON array")
+    for i, atom in enumerate(atoms):
+        vector = atom.get("direction") if isinstance(atom, dict) else None
+        if not (isinstance(vector, list) and len(vector) == 2
+                and all(map(_is_number, vector)) and _is_number(atom.get("mass"))):
+            raise ValueError(f"atom {i} must be an object with a numeric "
+                             f"'direction' pair [x, y] and a numeric 'mass', "
+                             f"got {json.dumps(atom)}")
+    directions = _unit_rows([atom["direction"] for atom in atoms], "directions")
+    masses = np.array([atom["mass"] for atom in atoms], dtype=float)
+    return DiscreteMeasure(2, directions, masses), float(data.get("p", 1.0))
 
 
 def density_to_dict(values) -> dict:
@@ -159,25 +140,27 @@ def classify_payload(data: dict) -> str:
     if not isinstance(data, dict):
         raise ValueError("input file must hold a JSON object")
     for key, kind in (("support", "body"), ("atoms", "measure"),
-                      ("edges", "edge-measure"), ("values", "density")):
+                      ("values", "density")):
         if key in data:
             return kind
     raise ValueError(
         "unrecognized input: expected a body ('support'), measure ('atoms'), "
-        "edge measure ('edges'), or density ('values') payload")
+        "or density ('values') payload")
 
 
 def load_input(path):
     """Read a JSON file and decode it by format.
 
     Returns (kind, object) where the object is a SupportPolygon, a
-    (DiscreteMeasure, p) pair, an EdgeMeasure, or a density vector.
+    (DiscreteMeasure, p) pair, or a density vector.
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     kind = classify_payload(data)
     decoder = {"body": body_from_dict, "measure": measure_from_dict,
-               "edge-measure": edge_measure_from_dict,
                "density": density_from_dict}[kind]
     return kind, decoder(data)
 

@@ -204,17 +204,17 @@ def residual(field: SupportField, f, p: float) -> np.ndarray:
     return smooth_lp_density(field, p) - f
 
 
-def _jacobian_bands(h: np.ndarray, step: float, p: float):
-    """Cyclic tridiagonal bands of d(density)/dh.
+def _jacobian_bands(field: SupportField, p: float):
+    """Cyclic tridiagonal bands of d(density)/dh at the field.
 
-    With A = (1/2pi) h^(1-p) e^{-(d^2+h^2)/2} and w = D^2 h + h the density
-    is rho = A w, and the three-point stencils of d and w give
+    With d = Dh (the field's slope), w = D^2 h + h (its curvature) and
+    A = (1/2pi) h^(1-p) e^{-(d^2+h^2)/2}, the density is rho = A w, and the
+    three-point stencils of d and w give
 
         d rho_k / d h_k      = rho ((1-p)/h - h) + A (1 - 2/step^2)
         d rho_k / d h_{k+-1} = -+ rho d / (2 step) + A / step^2.
     """
-    d = (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * step)
-    w = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (step * step) + h
+    h, d, w, step = field.h, field.slope, field.curvature, field.step
     a = h ** (1.0 - p) * np.exp(-0.5 * (d * d + h * h)) / TWO_PI
     rho = a * w
     diag = rho * ((1.0 - p) / h - h) + a * (1.0 - 2.0 / step**2)
@@ -271,7 +271,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
     by shrinking its t-step.
     """
     base = float(np.max(np.abs(defect)))
-    sub, diag, sup = _jacobian_bands(field.h, field.step, p)
+    sub, diag, sup = _jacobian_bands(field, p)
     delta = solve_cyclic_tridiagonal(sub, diag, sup, defect)
     if not np.any(delta):
         return field, defect
@@ -328,6 +328,8 @@ def _newton_solve(field, f_target, p, tol):
         norm = float(np.max(np.abs(defect)))
         if norm <= tol:
             return field, it, norm
+        if it == NEWTON_MAX_ITERS:
+            break
         field, defect = newton_step(field, f_target, p, defect)
     raise SolverStallError(
         f"Newton did not reach tolerance in {NEWTON_MAX_ITERS} iterations"
@@ -410,7 +412,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
             t=0.0,
             newton_iters=0,
             residual=float(np.max(np.abs(residual(field, np.full(n, c0), p)))),
-            min_convexity=field.min_convexity(),
+            min_convexity=float(np.min(field.curvature)),
             gauss_volume=field_gauss_volume(field),
         )
     ]
@@ -455,7 +457,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
                 t=t_next,
                 newton_iters=iters,
                 residual=norm,
-                min_convexity=new_field.min_convexity(),
+                min_convexity=float(np.min(new_field.curvature)),
                 gauss_volume=gamma,
             )
         )

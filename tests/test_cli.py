@@ -106,22 +106,6 @@ class TestMeasureFormat:
                 {"dimension": 3, "atoms": [{"direction": [1, 0, 0], "mass": 1}]})
 
 
-class TestEdgeMeasureFormat:
-    def test_round_trip(self):
-        em = lp_gauss_surface_polygon(box_polygon(1.0), 2.0)
-        back = serialize.edge_measure_from_dict(serialize.edge_measure_to_dict(em))
-        assert back.p_exponent == 2.0
-        np.testing.assert_allclose(back.masses, em.masses, rtol=1e-8)
-
-    def test_payload_validation(self):
-        with pytest.raises(ValueError):
-            serialize.edge_measure_from_dict({"p": 1.0, "edges": []})
-        with pytest.raises(ValueError, match="edge 0"):
-            serialize.edge_measure_from_dict({"edges": [{"normal": [1, 0]}]})
-        with pytest.raises(ValueError, match="edge 0"):
-            serialize.edge_measure_from_dict({"edges": [[1, 0]]})
-
-
 class TestDensityFormat:
     def test_round_trip(self):
         f = cos_density(128)
@@ -144,12 +128,13 @@ class TestClassifyPayload:
     def test_each_kind(self):
         assert serialize.classify_payload({"support": []}) == "body"
         assert serialize.classify_payload({"atoms": []}) == "measure"
-        assert serialize.classify_payload({"edges": []}) == "edge-measure"
         assert serialize.classify_payload({"values": []}) == "density"
 
     def test_unknown_payload(self):
         with pytest.raises(ValueError):
             serialize.classify_payload({"spam": 1})
+        with pytest.raises(ValueError):
+            serialize.classify_payload({"edges": []})
         with pytest.raises(ValueError):
             serialize.classify_payload([1, 2])
 
@@ -268,8 +253,31 @@ class TestMeasureCommand:
         kv = parse_kv(capsys.readouterr().out)
         for i in range(4):
             assert abs(float(kv[f"mass_{i}"]) - UNIT_SQUARE_EDGE_MASS) < 1e-9
-        em = serialize.edge_measure_from_dict(json.loads(out_path.read_text()))
-        np.testing.assert_allclose(em.masses, UNIT_SQUARE_EDGE_MASS, rtol=1e-8)
+        mu, p = serialize.measure_from_dict(json.loads(out_path.read_text()))
+        assert p == 1.0
+        np.testing.assert_allclose(mu.masses, UNIT_SQUARE_EDGE_MASS, rtol=1e-8)
+
+    def test_output_is_a_measure_file_solve_discrete_reads(self, tmp_path, capsys):
+        body_path, mu_path = tmp_path / "sq.json", tmp_path / "em.json"
+        body_path.write_text(serialize.dumps_json(
+            serialize.body_to_dict(box_polygon(0.8))))
+        assert main(["measure", "--input", str(body_path), "--p", "1.5",
+                     "--output", str(mu_path)]) == 0
+        capsys.readouterr()
+        assert main(["solve-discrete", "--input", str(mu_path)]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert float(kv["stationarity_residual"]) <= 1e-4
+
+    def test_output_refused_when_every_mass_underflows(self, tmp_path, capsys):
+        # edges at distance 40 carry e^{-800}, which is 0 in floating point
+        body_path, mu_path = tmp_path / "far.json", tmp_path / "em.json"
+        body_path.write_text(serialize.dumps_json(
+            serialize.body_to_dict(box_polygon(40.0))))
+        assert main(["measure", "--input", str(body_path),
+                     "--output", str(mu_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no positive atoms" in captured.err
+        assert not mu_path.exists()
 
     def test_rejects_measure_file(self, tmp_path, capsys):
         path = tmp_path / "mu.json"
@@ -288,6 +296,8 @@ class TestMeasureCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["measure", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not valid JSON" in err and "Traceback" not in err
 
 
 class TestSolveDiscreteCommand:
@@ -394,6 +404,21 @@ class TestSolveSmoothCommand:
 
     def test_unknown_family(self, capsys):
         assert main(["solve-smooth", "--family", "sin"]) == 2
+
+    @pytest.mark.parametrize("argv,source,unread", [
+        (["--input", "f.json", "--resolution", "512", "--amplitude", "0.9"],
+         "--input", "--resolution, --amplitude"),
+        (["--input", "f.json", "--family", "cos"], "--input", "--family"),
+        (["--family", "constant", "--frequency", "7"],
+         "--family constant", "--frequency"),
+        (["--family", "constant", "--amplitude", "0.1", "--resolution", "128"],
+         "--family constant", "--amplitude"),
+    ])
+    def test_unread_flag_is_invalid_input(self, argv, source, unread, capsys):
+        assert main(["solve-smooth", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"solve-smooth {source} does not read {unread}" in captured.err
 
     def test_needs_input_or_family(self, capsys):
         assert main(["solve-smooth"]) == 2

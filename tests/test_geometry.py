@@ -520,9 +520,19 @@ class TestSupportField:
         N = 128
         theta = 2.0 * np.pi * np.arange(N) / N
         fld = SupportField(N, 2.0 + 0.3 * np.cos(theta))
+        step = fld.step
         # central difference of cos(theta) is -sin(theta) sin(step)/step exactly
-        d = fld.first_difference()
-        np.testing.assert_allclose(d, -0.3 * np.sin(theta) * np.sinc(2.0 / N), atol=1e-12)
+        np.testing.assert_allclose(fld.slope, -0.3 * np.sin(theta) * np.sinc(2.0 / N),
+                                   atol=1e-12)
+        # second difference of cos(theta) is -cos(theta) (2 - 2 cos(step))/step^2
+        np.testing.assert_allclose(
+            fld.curvature,
+            2.0 + 0.3 * np.cos(theta) * (1.0 - (2.0 - 2.0 * np.cos(step)) / step**2),
+            atol=1e-12)
+        for values in (fld.h, fld.slope, fld.curvature):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
     def test_field_to_polygon_roundtrip(self):
         N = 256

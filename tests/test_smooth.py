@@ -13,11 +13,7 @@ from gaussmink.errors import (
     SolverStallError,
     WrongBranchError,
 )
-from gaussmink.gaussian import (
-    _lp_density_values,
-    constant_field_density,
-    smooth_lp_density,
-)
+from gaussmink.gaussian import constant_field_density, smooth_lp_density
 from gaussmink.geometry import SupportField, body_hausdorff_distance, field_to_polygon
 from gaussmink.smooth import (
     HomotopyOptions,
@@ -129,7 +125,7 @@ class TestJacobian:
     def test_matches_finite_differences(self):
         fld = harmonics_field()
         p = 1.5
-        sub, diag, sup = _jacobian_bands(fld.h, fld.step, p)
+        sub, diag, sup = _jacobian_bands(fld, p)
         eps = 1e-6
         n = fld.resolution
         for j in range(0, n, 7):
@@ -137,8 +133,8 @@ class TestJacobian:
             hm = fld.h.copy()
             hp[j] += eps
             hm[j] -= eps
-            col = (_lp_density_values(hp, fld.step, p)
-                   - _lp_density_values(hm, fld.step, p)) / (2.0 * eps)
+            col = (smooth_lp_density(SupportField(n, hp), p)
+                   - smooth_lp_density(SupportField(n, hm), p)) / (2.0 * eps)
             dense = np.zeros(n)
             dense[j] = diag[j]
             dense[(j + 1) % n] = sub[(j + 1) % n]
@@ -147,7 +143,7 @@ class TestJacobian:
 
     def test_cyclic_solve_matches_dense(self):
         fld = harmonics_field()
-        sub, diag, sup = _jacobian_bands(fld.h, fld.step, 1.0)
+        sub, diag, sup = _jacobian_bands(fld, 1.0)
         n = fld.resolution
         J = np.zeros((n, n))
         for k in range(n):
@@ -164,7 +160,7 @@ class TestJacobian:
         # (2 - p) - r0^2 - k^2 (discrete Laplacian modes)
         r0, p, n = 1.5, 1.0, 64
         fld = SupportField(n, np.full(n, r0))
-        sub, diag, sup = _jacobian_bands(fld.h, fld.step, p)
+        sub, diag, sup = _jacobian_bands(fld, p)
         J = np.zeros((n, n))
         for k in range(n):
             J[k, k] = diag[k]
@@ -268,6 +264,31 @@ class TestSolveHomotopy:
         rep = solve_homotopy(cos_density(0.045, 0.2, 2, 256), p)
         assert rep.stationarity_residual <= 1e-9
         assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations
+
+    def test_newton_stops_at_its_iteration_limit(self, monkeypatch):
+        # a Newton solve that misses the tolerance makes exactly
+        # NEWTON_MAX_ITERS steps: none is taken whose result goes unchecked
+        steps_per_solve, failed = [], []
+        step, solve = smooth.newton_step, smooth._newton_solve
+
+        def counting_step(*args):
+            steps_per_solve[-1] += 1
+            return step(*args)
+
+        def counting_solve(*args):
+            steps_per_solve.append(0)
+            try:
+                return solve(*args)
+            except SolverStallError:
+                failed.append(steps_per_solve[-1])
+                raise
+
+        monkeypatch.setattr(smooth, "NEWTON_MAX_ITERS", 2)
+        monkeypatch.setattr(smooth, "newton_step", counting_step)
+        monkeypatch.setattr(smooth, "_newton_solve", counting_solve)
+        rep = solve_homotopy(cos_density(0.045, 0.2, 2, 256), 1.0)
+        assert rep.stationarity_residual <= 1e-9
+        assert failed and set(failed) == {2}
 
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_cos_perturbation(self, p, level):
