@@ -3,13 +3,13 @@ the associated Minkowski problems (discrete variational and smooth homotopy)
 and a property-checking suite for the underlying inequalities."""
 
 from .discrete import (VariationalProblem, phi_objective, recover_multiplier,
-                       solve_constrained, volume_gradient)
+                       solve_constrained)
 from .errors import (ConvexityError, HemisphereConditionError, MassBoundError,
                      NoConstantSolutionError, RoundingFloorError,
                      SolverStallError, UnboundedBodyError, WrongBranchError)
-from .gaussian import (EdgeMeasure, GaussConstants, gauss_constants,
-                       gauss_surface_polygon, gauss_volume, gauss_volume_exact,
-                       gauss_volume_mc, lp_gauss_surface_polygon,
+from .gaussian import (GaussConstants, gauss_constants, gauss_surface_polygon,
+                       gauss_volume, gauss_volume_exact, gauss_volume_mc,
+                       lp_gauss_surface_polygon, lp_surface_measure,
                        scale_to_gauss_volume, smooth_lp_density,
                        std_normal_cdf, std_normal_quantile)
 from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
@@ -28,11 +28,11 @@ from .verify import (CheckResult, check_ball_bound, check_ehrhard,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "ConvexityError", "DiscreteMeasure", "EdgeMeasure",
-    "GaussConstants", "HemisphereConditionError", "HomotopyOptions",
-    "HomotopyStep", "HomotopyTrace", "MassBoundError",
-    "NoConstantSolutionError", "RoundingFloorError", "SolveReport",
-    "SolverStallError", "SupportField", "SupportPolygon", "UnboundedBodyError",
+    "CheckResult", "ConvexityError", "DiscreteMeasure", "GaussConstants",
+    "HemisphereConditionError", "HomotopyOptions", "HomotopyStep",
+    "HomotopyTrace", "MassBoundError", "NoConstantSolutionError",
+    "RoundingFloorError", "SolveReport", "SolverStallError",
+    "SupportField", "SupportPolygon", "UnboundedBodyError",
     "VariationalProblem", "WrongBranchError", "body_hausdorff_distance",
     "box_polygon", "check_ball_bound", "check_ehrhard",
     "check_hemisphere_condition", "check_isoperimetric",
@@ -42,8 +42,8 @@ __all__ = [
     "format_table", "gauss_constants", "gauss_surface_polygon",
     "gauss_volume", "gauss_volume_exact", "gauss_volume_mc",
     "linearized_guard", "lp_combination", "lp_gauss_surface_polygon",
-    "phi_objective", "polar_body", "recover_multiplier", "run_suite",
-    "scale_to_gauss_volume", "smooth_lp_density", "solve_constrained",
-    "solve_homotopy", "std_normal_cdf", "std_normal_quantile",
-    "volume_gradient", "wulff_shape",
+    "lp_surface_measure", "phi_objective", "polar_body",
+    "recover_multiplier", "run_suite", "scale_to_gauss_volume",
+    "smooth_lp_density", "solve_constrained", "solve_homotopy",
+    "std_normal_cdf", "std_normal_quantile", "wulff_shape",
 ]

@@ -24,7 +24,7 @@ from . import serialize
 from .discrete import VariationalProblem, solve_constrained
 from .errors import SolverStallError
 from .families import build_family, cos_density
-from .gaussian import gauss_constants, lp_gauss_surface_polygon
+from .gaussian import gauss_constants, lp_gauss_surface_polygon, lp_surface_measure
 from .geometry import SupportField
 from .smooth import HomotopyOptions, HomotopyStep, solve_homotopy
 from .verify import format_table, run_suite
@@ -131,13 +131,13 @@ def _cmd_constants(config: RunConfig) -> int:
 
 def _cmd_measure(config: RunConfig) -> int:
     body = _require_input(config, "body")
-    em = lp_gauss_surface_polygon(body, config.p if config.p is not None else 1.0)
+    p = config.p if config.p is not None else 1.0
     if config.output_path is not None:
-        # as_discrete refuses a body whose edge masses all underflow to 0:
-        # fail before anything is printed
+        # lp_surface_measure refuses a body whose edge masses all underflow
+        # to 0: fail before anything is printed
         _write_output(config.output_path, serialize.dumps_json(
-            serialize.measure_to_dict(em.as_discrete(), em.p_exponent)))
-    sys.stdout.write(serialize.edge_measure_text(em))
+            serialize.measure_to_dict(lp_surface_measure(body, p), p)))
+    sys.stdout.write(serialize.edge_measure_text(lp_gauss_surface_polygon(body, p), p))
     return EXIT_OK
 
 

@@ -57,6 +57,7 @@ from .geometry import (
     check_hemisphere_condition,
     hemisphere_margin,
     wulff_shape_with_indices,
+    _angles_of,
     _rotate,
 )
 from .report import SolveReport
@@ -99,11 +100,6 @@ def phi_objective(h, mu: DiscreteMeasure, p: float) -> float:
     return float(mu.masses @ h**p)
 
 
-def volume_gradient(body: SupportPolygon) -> np.ndarray:
-    """d gamma_2 / d h_i per edge: exactly the Gaussian edge masses."""
-    return gauss_surface_polygon(body).masses
-
-
 def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
     """Cyclic tridiagonal bands (sub, diag, sup) of d grad_i / d h_j.
 
@@ -130,8 +126,7 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     |p m_i - lambda S_{p,i}| / (p m_i)).
     """
     sp = lp_gauss_surface_polygon(body, p)
-    body_angles = np.mod(np.arctan2(body.normals[:, 1], body.normals[:, 0]), TWO_PI)
-    atom_angles = np.mod(np.arctan2(mu.directions[:, 1], mu.directions[:, 0]), TWO_PI)
+    body_angles, atom_angles = body.normal_angles, _angles_of(mu.directions)
     # The facet nearest to atom i is one of the two whose angles bracket it.
     order = np.argsort(body_angles)
     pos = np.searchsorted(body_angles[order], atom_angles)
@@ -140,7 +135,7 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     gap = np.minimum(gap, TWO_PI - gap)
     pick = np.argmin(gap, axis=0)
     cols = np.arange(mu.num_atoms)
-    s = np.where(gap[pick, cols] <= 1e-9, sp.masses[cand[pick, cols]], 0.0)
+    s = np.where(gap[pick, cols] <= 1e-9, sp[cand[pick, cols]], 0.0)
     if not np.any(s > 0.0):
         raise ValueError("no atom matches a facet with positive mass")
     target = p * mu.masses
@@ -229,7 +224,7 @@ def _newton_kkt(directions, masses, p, target, h, lam, accepted):
             return None
         if len(kept) < len(h):
             return None  # facet guard: every atom keeps its edge
-        g, dphi = volume_gradient(body), p * masses * h ** (p - 1.0)
+        g, dphi = gauss_surface_polygon(body), p * masses * h ** (p - 1.0)
         f1, f2 = dphi - lam * g, gauss_volume_exact(body) - target
         merit = math.hypot(float(np.linalg.norm(f1 / (p * masses))), f2)
         return body, g, f1, f2, merit, max(float(np.max(np.abs(f1) / dphi)), abs(f2))

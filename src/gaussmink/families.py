@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnboundedBodyError
-from .gaussian import lp_gauss_surface_polygon, scale_to_gauss_volume
+from .gaussian import lp_surface_measure, scale_to_gauss_volume
 from .geometry import (
     TWO_PI,
     DiscreteMeasure,
@@ -110,7 +110,7 @@ def uniform_mgon_measure(m: int, total: float) -> DiscreteMeasure:
 def square_surface_measure(p: float = 1.0) -> DiscreteMeasure:
     """Surface area measure of the half-Gaussian-volume axis-aligned square."""
     square = scale_to_gauss_volume(box_polygon(1.0))
-    return lp_gauss_surface_polygon(square, p).as_discrete()
+    return lp_surface_measure(square, p)
 
 
 def cos_density(resolution: int, level: float = 0.045,

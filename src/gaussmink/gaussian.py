@@ -22,7 +22,9 @@ mass of an edge at distance h from the origin is the exact one-dimensional
 integral e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi) over the edge's signed
 tangential extent [t0, t1] about the foot of the perpendicular.  The L_p
 variant reweights each edge by h^(1-p), since x . nu is constant on a facet.
-For smooth bodies given by a periodic support sample, the corresponding
+Both forward maps return the masses as an array aligned with body.normals;
+lp_surface_measure turns them into a DiscreteMeasure, one atom per edge of
+positive mass.  For smooth bodies given by a periodic support sample, the
 density w.r.t. arc measure is (1/2pi) h^(1-p) e^{-(h'^2+h^2)/2} (h'' + h),
 with h' and h'' + h the periodic central differences that SupportField
 computes on construction (its slope and curvature).
@@ -47,7 +49,6 @@ from .geometry import (
     SupportField,
     SupportPolygon,
     scale_body,
-    _as_unit_rows,
     _rotate,
 )
 
@@ -190,87 +191,40 @@ def gauss_volume_mc(body: SupportPolygon, samples: int, seed: int) -> tuple[floa
     return phat, stderr
 
 
-@dataclass(frozen=True)
-class EdgeMeasure:
-    """Surface area measure of a polygon: one (normal, mass) pair per edge.
+def gauss_surface_polygon(body: SupportPolygon) -> np.ndarray:
+    """Gaussian surface area measure of a polygon (p = 1), one mass per edge.
 
-    Masses are nonnegative (zero marks an edge the measure does not see).
-    For p = 1 the total cannot exceed Ball's bound 4 n^(1/4) at n = 2;
-    construction enforces this with a 1e-9 slack.
+    Edge i, from V_{i-1} to V_i, has its ends at signed tangential coordinates
+    t0 < t1 about the foot of the perpendicular from the origin.  Its mass,
+    also d gamma_2 / d h_i, is e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi).
     """
-
-    normals: np.ndarray
-    masses: np.ndarray
-    p_exponent: float
-
-    def __post_init__(self):
-        normals = _as_unit_rows(self.normals, tol=1e-9)
-        masses = np.asarray(self.masses, dtype=float)
-        if masses.shape != (normals.shape[0],):
-            raise ValueError("one mass per edge normal required")
-        if np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
-            raise ValueError("edge masses must be nonnegative and finite")
-        if self.p_exponent == 1.0 and masses.sum() > BALL_SURFACE_BOUND + 1e-9:
-            raise ValueError(
-                f"total Gaussian surface area {masses.sum():.9g} exceeds the "
-                f"dimensional bound {BALL_SURFACE_BOUND:.9g}"
-            )
-        normals.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "masses", masses)
-
-    @property
-    def num_edges(self) -> int:
-        return self.masses.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def as_discrete(self, drop_below: float = 0.0) -> DiscreteMeasure:
-        """Atoms at the edge normals, dropping masses <= drop_below."""
-        keep = self.masses > drop_below
-        if not np.any(keep):
-            raise ValueError("measure has no positive atoms")
-        return DiscreteMeasure(2, self.normals[keep], self.masses[keep])
-
-
-def _edge_tangential_extents(body: SupportPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Signed tangential coordinates (t0, t1) of every edge's endpoints about
-    the foot of the perpendicular from the origin; t0 < t1 in CCW order."""
     tau = np.column_stack([-body.normals[:, 1], body.normals[:, 0]])
-    start = _rotate(body.vertices, -1)  # edge i runs V_{i-1} -> V_i
-    t0 = np.einsum("ij,ij->i", start, tau)
+    t0 = np.einsum("ij,ij->i", _rotate(body.vertices, -1), tau)
     t1 = np.einsum("ij,ij->i", body.vertices, tau)
-    return t0, t1
+    return (np.exp(-0.5 * body.support**2) * (std_normal_cdf(t1) - std_normal_cdf(t0))
+            / SQRT_TWO_PI)
 
 
-def gauss_surface_polygon(body: SupportPolygon) -> EdgeMeasure:
-    """Gaussian surface area measure of a polygon (p = 1).
-
-    Each edge contributes the exact one-dimensional Gaussian integral
-    e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi) at its outer normal.
-    """
-    t0, t1 = _edge_tangential_extents(body)
-    masses = (
-        np.exp(-0.5 * body.support**2)
-        * (std_normal_cdf(t1) - std_normal_cdf(t0))
-        / SQRT_TWO_PI
-    )
-    return EdgeMeasure(body.normals, masses, 1.0)
-
-
-def lp_gauss_surface_polygon(body: SupportPolygon, p: float) -> EdgeMeasure:
-    """L_p-Gaussian surface area measure of a polygon.
+def lp_gauss_surface_polygon(body: SupportPolygon, p: float) -> np.ndarray:
+    """L_p-Gaussian surface area measure of a polygon, one mass per edge.
 
     x . nu equals the support value h on a facet, so the p-measure is the
     p = 1 measure reweighted edgewise by h^(1-p), exactly.
     """
-    if np.any(body.support <= 0.0):
-        raise ValueError("support values must be positive")
-    base = gauss_surface_polygon(body)
-    return EdgeMeasure(body.normals, body.support ** (1.0 - p) * base.masses, float(p))
+    return body.support ** (1.0 - p) * gauss_surface_polygon(body)
+
+
+def lp_surface_measure(body: SupportPolygon, p: float) -> DiscreteMeasure:
+    """The L_p measure as atoms at the edge normals, leaving out zero masses.
+
+    A mass is zero when it underflows (an edge far from the origin); raises
+    ValueError when no edge keeps a positive mass.
+    """
+    masses = lp_gauss_surface_polygon(body, p)
+    keep = masses > 0.0
+    if not np.any(keep):
+        raise ValueError("measure has no positive atoms")
+    return DiscreteMeasure(2, body.normals[keep], masses[keep])
 
 
 def smooth_lp_density(field: SupportField, p: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .gaussian import EdgeMeasure, GaussConstants
+from .gaussian import GaussConstants
 from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
                        field_to_polygon, wulff_shape)
 from .report import SolveReport
@@ -50,10 +50,26 @@ def _sig_pairs(rows) -> list:
     return [[_sig(a), _sig(b)] for a, b in np.asarray(rows, dtype=float)]
 
 
+def _float_array(values, error: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a non-number, or ragged nesting
+        raise ValueError(error) from None
+
+
+def _finite_number(data: dict, key: str, default):
+    """data[key], or default when absent; ValueError unless a finite number."""
+    value = data.get(key, default)
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValueError(f"'{key}' must be a finite number, got {json.dumps(value)}")
+    return value
+
+
 def _unit_rows(rows, what: str) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
+    error = f"{what} must be a nonempty list of [x, y] pairs"
+    rows = _float_array(rows, error)
     if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] == 0:
-        raise ValueError(f"{what} must be a nonempty list of [x, y] pairs")
+        raise ValueError(error)
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms < 1e-12) or not np.all(np.isfinite(norms)):
         raise ValueError(f"{what} must be nonzero finite vectors")
@@ -80,8 +96,8 @@ def body_from_dict(data: dict) -> SupportPolygon:
         raise ValueError("body payload needs 'normals' and 'support' keys")
     if data.get("dimension", 2) != 2:
         raise ValueError("only planar bodies are supported")
-    return wulff_shape(_unit_rows(data["normals"], "normals"),
-                       np.asarray(data["support"], dtype=float))
+    support = _float_array(data["support"], "'support' must be a list of numbers")
+    return wulff_shape(_unit_rows(data["normals"], "normals"), support)
 
 
 def measure_to_dict(mu: DiscreteMeasure, p: float = 1.0) -> dict:
@@ -111,7 +127,7 @@ def measure_from_dict(data: dict) -> tuple[DiscreteMeasure, float]:
                              f"got {json.dumps(atom)}")
     directions = _unit_rows([atom["direction"] for atom in atoms], "directions")
     masses = np.array([atom["mass"] for atom in atoms], dtype=float)
-    return DiscreteMeasure(2, directions, masses), float(data.get("p", 1.0))
+    return DiscreteMeasure(2, directions, masses), float(_finite_number(data, "p", 1.0))
 
 
 def density_to_dict(values) -> dict:
@@ -125,10 +141,11 @@ def density_from_dict(data: dict) -> np.ndarray:
     """Grid samples at theta_k = 2 pi k / N, validated against 'resolution'."""
     if not isinstance(data, dict) or "values" not in data:
         raise ValueError("density payload needs a 'values' key")
-    values = np.asarray(data["values"], dtype=float)
+    error = "density values must be a nonempty vector"
+    values = _float_array(data["values"], error)
     if values.ndim != 1 or values.size == 0:
-        raise ValueError("density values must be a nonempty vector")
-    if int(data.get("resolution", values.size)) != values.size:
+        raise ValueError(error)
+    if _finite_number(data, "resolution", values.size) != values.size:
         raise ValueError("resolution field disagrees with the value count")
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
         raise ValueError("density values must be positive and finite")
@@ -175,10 +192,11 @@ def constants_text(constants: GaussConstants) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edge_measure_text(em: EdgeMeasure) -> str:
-    lines = [f"p={echo_float(em.p_exponent)}", f"edges={em.num_edges}"]
-    lines += [f"mass_{i}={echo_float(m)}" for i, m in enumerate(em.masses)]
-    lines.append(f"total={echo_float(em.total_mass)}")
+def edge_measure_text(masses: np.ndarray, p: float) -> str:
+    """key=value lines: p, the edge count, each edge's mass and their total."""
+    lines = [f"p={echo_float(p)}", f"edges={len(masses)}"]
+    lines += [f"mass_{i}={echo_float(m)}" for i, m in enumerate(masses)]
+    lines.append(f"total={echo_float(masses.sum())}")
     return "\n".join(lines) + "\n"
 
 

@@ -31,6 +31,7 @@ from .gaussian import (
     gauss_surface_polygon,
     gauss_volume_exact,
     lp_gauss_surface_polygon,
+    lp_surface_measure,
     scale_to_gauss_volume,
     std_normal_quantile,
 )
@@ -82,10 +83,6 @@ def _body_witness(body: SupportPolygon) -> dict:
     }
 
 
-def lp_measure_total(body: SupportPolygon, p: float) -> float:
-    return float(np.sum(lp_gauss_surface_polygon(body, p).masses))
-
-
 def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
     """First variation of Gaussian volume along an L_p support perturbation.
 
@@ -105,7 +102,7 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
     if p == 0.0:
         raise ValueError("p must be nonzero")
 
-    masses = lp_gauss_surface_polygon(body, p).masses
+    masses = lp_gauss_surface_polygon(body, p)
     measure_side = float(f**p @ masses) / p
     base = gauss_volume_exact(body)
     h = body.support
@@ -216,7 +213,7 @@ def check_mixed_measure_inequality(K: SupportPolygon, L: SupportPolygon,
     """
     K = scale_to_gauss_volume(K, 0.5)
     L = scale_to_gauss_volume(L, 0.5)
-    masses = lp_gauss_surface_polygon(K, p).masses
+    masses = lp_gauss_surface_polygon(K, p)
     own = float(K.support**p @ masses)
     other = float(support_profile(L, K.normals) ** p @ masses)
     violation = own - other
@@ -249,7 +246,7 @@ def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:
     if not is_origin_symmetric(K):
         raise ValueError("the isoperimetric bound requires an origin-symmetric body")
     K = scale_to_gauss_volume(K, 0.5)
-    total = lp_measure_total(K, p)
+    total = float(lp_gauss_surface_polygon(K, p).sum())
     bound = gauss_constants(2, p).mass_bound
     violation = (bound - total) / bound  # relative shortfall
     witness = json.dumps({
@@ -263,7 +260,7 @@ def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:
 
 def check_ball_bound(K: SupportPolygon) -> CheckResult:
     """Dimensional cap on total Gaussian surface area: 4 n^(1/4) in the plane."""
-    total = float(np.sum(gauss_surface_polygon(K).masses))
+    total = float(gauss_surface_polygon(K).sum())
     bound = BALL_SURFACE_BOUND
     violation = total - bound
     witness = json.dumps({"total": total, "bound": bound,
@@ -292,8 +289,7 @@ def check_uniqueness(K: SupportPolygon, L: SupportPolygon,
         })
         return _result("uniqueness", 0.0, witness, _BODY_TOL)
 
-    gap = _measure_gap(lp_gauss_surface_polygon(K, p).as_discrete(),
-                       lp_gauss_surface_polygon(L, p).as_discrete())
+    gap = _measure_gap(lp_surface_measure(K, p), lp_surface_measure(L, p))
     distance = body_hausdorff_distance(K, L)
     if gap > _MEASURE_TOL:
         witness = json.dumps({
@@ -388,7 +384,7 @@ def run_suite(seed: int = 0, instances: int = 100) -> list[CheckResult]:
         # for p > 1 the symmetric solution is unique in h
         K = scale_to_gauss_volume(random_even_polygon(rng))
         p = float(rng.choice([1.5, 2.0]))
-        mu = lp_gauss_surface_polygon(K, p).as_discrete()
+        mu = lp_surface_measure(K, p)
         L = solve_constrained(VariationalProblem(mu, p)).body
         unique.append(check_uniqueness(K, L, p=p))
     rows.append(aggregate("uniqueness", unique))

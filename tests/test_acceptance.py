@@ -20,7 +20,7 @@ from gaussmink.families import (cos_density, hemisphere_bad_measure,
                                 random_polygon)
 from gaussmink.gaussian import (gauss_constants, gauss_volume,
                                 gauss_volume_exact, gauss_volume_mc,
-                                lp_gauss_surface_polygon, smooth_lp_density)
+                                lp_surface_measure, smooth_lp_density)
 from gaussmink.geometry import body_hausdorff_distance, disc_polygon
 from gaussmink.serialize import dumps_json, measure_to_dict
 from gaussmink.smooth import HomotopyOptions, constant_branch_start, solve_homotopy
@@ -78,7 +78,7 @@ def test_discrete_solver_round_trip_on_half_volume_bodies():
     for i in range(5):
         body = half_volume_polygon(rng)
         p = (1.0, 1.5, 2.0, 1.0, 2.0)[i]
-        mu = lp_gauss_surface_polygon(body, p).as_discrete()
+        mu = lp_surface_measure(body, p)
         report = solve_constrained(VariationalProblem(mu, p))
         assert body_hausdorff_distance(report.body, body) <= 1e-4
         assert abs(report.multiplier / p - 1.0) <= 1e-3

@@ -116,6 +116,10 @@ class TestDensityFormat:
     def test_resolution_must_match(self):
         with pytest.raises(ValueError):
             serialize.density_from_dict({"resolution": 4, "values": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="disagrees"):  # not truncated to 2
+            serialize.density_from_dict({"resolution": 2.9, "values": [1.0, 2.0]})
+        back = serialize.density_from_dict({"resolution": 2.0, "values": [1.0, 2.0]})
+        assert back.size == 2
 
     def test_values_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -150,8 +154,9 @@ class TestTextFormats:
         assert text.endswith("\n")
 
     def test_edge_measure_lines(self):
-        em = lp_gauss_surface_polygon(box_polygon(1.0), 1.0)
-        kv = parse_kv(serialize.edge_measure_text(em))
+        masses = lp_gauss_surface_polygon(box_polygon(1.0), 1.0)
+        kv = parse_kv(serialize.edge_measure_text(masses, 1.0))
+        assert kv["p"] == "1"
         assert kv["edges"] == "4"
         assert kv["mass_0"] == "0.165190871"
         assert kv["total"] == "0.660763484"
@@ -367,6 +372,35 @@ class TestSolveDiscreteCommand:
         summary = err.splitlines()[-1]
         assert summary.startswith("trace: ") and " Newton steps, last phi = " in summary
         assert float(summary.rsplit(" = ", 1)[1]) > 0.0
+
+
+SQUARE_NORMALS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+SQUARE_ATOMS = [{"direction": d, "mass": 0.1} for d in SQUARE_NORMALS]
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("command,payload,named", [
+        ("solve-smooth", {"resolution": [1], "values": [0.045] * 64}, "'resolution'"),
+        ("solve-smooth", {"resolution": None, "values": [0.045] * 64}, "'resolution'"),
+        ("solve-smooth", {"resolution": math.inf, "values": [0.045] * 64},
+         "'resolution'"),
+        ("solve-smooth", {"values": {"a": 1}}, "density values"),
+        ("solve-discrete", {"p": [1], "atoms": SQUARE_ATOMS}, "'p'"),
+        ("solve-discrete", {"p": None, "atoms": SQUARE_ATOMS}, "'p'"),
+        ("solve-discrete", {"p": math.nan, "atoms": SQUARE_ATOMS}, "'p'"),
+        ("measure", {"support": {"a": 1}, "normals": SQUARE_NORMALS}, "'support'"),
+        ("measure", {"support": [1, 1, 1, 1], "normals": [[{"a": 1}, 0]] * 4},
+         "normals"),
+    ], ids=["resolution-list", "resolution-null", "resolution-infinite",
+            "values-object", "p-list", "p-null", "p-nan", "support-object",
+            "normal-object"])
+    def test_is_invalid_input_naming_the_field(self, tmp_path, capsys, command,
+                                               payload, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 class TestSolveSmoothCommand:

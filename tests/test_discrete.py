@@ -15,7 +15,6 @@ from gaussmink.discrete import (
     phi_objective,
     recover_multiplier,
     solve_constrained,
-    volume_gradient,
 )
 from gaussmink.errors import HemisphereConditionError, SolverStallError
 from gaussmink.families import (
@@ -28,6 +27,7 @@ from gaussmink.gaussian import (
     gauss_surface_polygon,
     gauss_volume_exact,
     lp_gauss_surface_polygon,
+    lp_surface_measure,
 )
 from gaussmink.smooth import solve_homotopy
 from gaussmink.geometry import (
@@ -124,11 +124,11 @@ class TestPhiObjective:
 
 class TestVolumeGradient:
     def test_square_components(self):
-        grad = volume_gradient(box_polygon(1.0))
+        grad = gauss_surface_polygon(box_polygon(1.0))
         np.testing.assert_allclose(grad, SQUARE_EDGE_MASS, atol=1e-14)
 
     def test_disc_components_sum(self):
-        grad = volume_gradient(disc_polygon(1.0, 512))
+        grad = gauss_surface_polygon(disc_polygon(1.0, 512))
         assert np.ptp(grad) <= 1e-14
         assert grad.sum() == pytest.approx(math.exp(-0.5), abs=1e-5)
 
@@ -136,7 +136,7 @@ class TestVolumeGradient:
     @settings(max_examples=10, deadline=None)
     def test_finite_difference(self, seed):
         normals, support = random_full_polygon(seed)
-        grad = volume_gradient(wulff_shape(normals, support))
+        grad = gauss_surface_polygon(wulff_shape(normals, support))
         eps = 1e-5
         for i in range(8):
             hp = support.copy(); hp[i] += eps
@@ -150,13 +150,13 @@ class TestVolumeGradient:
     def test_hessian_bands_match_central_differences(self, seed):
         normals, support = random_full_polygon(seed)
         body = wulff_shape(normals, support)
-        sub, diag, sup = _volume_hessian_bands(body, volume_gradient(body))
+        sub, diag, sup = _volume_hessian_bands(body, gauss_surface_polygon(body))
         eps = 1e-5
         for j in range(8):
             hp = support.copy(); hp[j] += eps
             hm = support.copy(); hm[j] -= eps
-            col = (volume_gradient(wulff_shape(normals, hp))
-                   - volume_gradient(wulff_shape(normals, hm))) / (2.0 * eps)
+            col = (gauss_surface_polygon(wulff_shape(normals, hp))
+                   - gauss_surface_polygon(wulff_shape(normals, hm))) / (2.0 * eps)
             band = np.zeros(8)
             band[j] = diag[j]
             band[(j + 1) % 8] = sub[(j + 1) % 8]
@@ -168,14 +168,14 @@ class TestRecoverMultiplier:
     def test_exact_stationary_pair(self):
         K = half_volume_body(box_polygon(1.0).normals, box_polygon(1.0).support)
         for p in (1.0, 2.5):
-            mu = lp_gauss_surface_polygon(K, p).as_discrete()
+            mu = lp_surface_measure(K, p)
             lam, residual = recover_multiplier(K, mu, p)
             assert residual <= 1e-12
             assert lam == pytest.approx(p, rel=1e-12)
 
     def test_scaled_measure_scales_lambda(self):
         K = random_half_volume_body(5)
-        mu = lp_gauss_surface_polygon(K, 1.0).as_discrete()
+        mu = lp_surface_measure(K, 1.0)
         scaled = DiscreteMeasure(2, mu.directions, 3.0 * mu.masses)
         lam, _ = recover_multiplier(K, scaled, 1.0)
         assert lam == pytest.approx(3.0, rel=1e-12)
@@ -184,7 +184,7 @@ class TestRecoverMultiplier:
         theta = 2.0 * np.pi * np.arange(6) / 6.0
         normals = np.column_stack([np.cos(theta), np.sin(theta)])
         K = half_volume_body(normals, np.array([1.0, 1.1, 0.95, 1.05, 1.0, 1.15]))
-        mu = lp_gauss_surface_polygon(K, 1.0).as_discrete()
+        mu = lp_surface_measure(K, 1.0)
         rng = np.random.default_rng(0)
         residuals = []
         for noise in (1e-4, 1e-3, 1e-2):
@@ -212,7 +212,7 @@ class TestRecoverMultiplier:
         extra = rng.uniform(0.0, 2.0 * np.pi, 3)
         dirs = np.vstack([K.normals, np.column_stack([np.cos(extra), np.sin(extra)])])
         mu = DiscreteMeasure(2, dirs, rng.uniform(0.05, 0.3, len(dirs)))
-        sp = lp_gauss_surface_polygon(K, 1.5).masses
+        sp = lp_gauss_surface_polygon(K, 1.5)
         s = np.zeros(mu.num_atoms)
         for i, d in enumerate(mu.directions):
             gap = np.abs(np.angle(complex(*d) / (K.normals[:, 0] + 1j * K.normals[:, 1])))
@@ -252,7 +252,7 @@ class TestSolveConstrained:
 
     def test_square_round_trip(self):
         K = half_volume_body(box_polygon(1.0).normals, box_polygon(1.0).support)
-        mu = lp_gauss_surface_polygon(K, 1.0).as_discrete()
+        mu = lp_surface_measure(K, 1.0)
         rep = solve_constrained(VariationalProblem(mu, 1.0))
         assert body_hausdorff_distance(K, rep.body) <= 1e-6
         assert rep.multiplier == pytest.approx(1.0, rel=1e-6)
@@ -261,7 +261,7 @@ class TestSolveConstrained:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_random_round_trip(self, p):
         K = random_half_volume_body(101)
-        mu = lp_gauss_surface_polygon(K, p).as_discrete()
+        mu = lp_surface_measure(K, p)
         rep = solve_constrained(VariationalProblem(mu, p))
         assert body_hausdorff_distance(K, rep.body) <= 1e-6
         assert rep.multiplier / p == pytest.approx(1.0, abs=1e-6)
@@ -269,7 +269,7 @@ class TestSolveConstrained:
         assert rep.stationarity_residual <= 1e-4
 
     def test_deterministic(self):
-        mu = lp_gauss_surface_polygon(random_half_volume_body(55), 1.0).as_discrete()
+        mu = lp_surface_measure(random_half_volume_body(55), 1.0)
         a = solve_constrained(VariationalProblem(mu, 1.0))
         b = solve_constrained(VariationalProblem(mu, 1.0))
         np.testing.assert_array_equal(a.body.support, b.body.support)
@@ -277,7 +277,7 @@ class TestSolveConstrained:
         assert a.iterations == b.iterations
 
     def test_mass_scaling_leaves_body_fixed(self):
-        mu = lp_gauss_surface_polygon(random_half_volume_body(77), 1.0).as_discrete()
+        mu = lp_surface_measure(random_half_volume_body(77), 1.0)
         rep1 = solve_constrained(VariationalProblem(mu, 1.0))
         scaled = DiscreteMeasure(2, mu.directions, 2.5 * mu.masses)
         rep2 = solve_constrained(VariationalProblem(scaled, 1.0))
@@ -300,7 +300,7 @@ class TestSolveConstrained:
         # the last trace entry is the objective of the returned body
         for seed in (3, 14, 27):
             K = random_half_volume_body(seed)
-            mu = lp_gauss_surface_polygon(K, 1.0).as_discrete()
+            mu = lp_surface_measure(K, 1.0)
             rep = solve_constrained(VariationalProblem(mu, 1.0))
             trace = np.array(rep.objective_trace)
             jumps = np.abs(np.diff(trace))

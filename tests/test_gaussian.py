@@ -19,7 +19,6 @@ from gaussmink.families import random_polygon
 from gaussmink.gaussian import (
     gauss_volume_exact,
     BALL_SURFACE_BOUND,
-    EdgeMeasure,
     ball_gauss_volume,
     ball_radius,
     constant_field_density,
@@ -29,6 +28,7 @@ from gaussmink.gaussian import (
     gauss_volume,
     gauss_volume_mc,
     lp_gauss_surface_polygon,
+    lp_surface_measure,
     scale_to_gauss_volume,
     smooth_lp_density,
     std_normal_cdf,
@@ -176,7 +176,7 @@ class TestGaussVolumeExact:
     def test_derivative_is_edge_mass(self, seed):
         # moving one edge outward adds a Gaussian slab: d(volume)/dh_i = mass_i
         K = random_body(seed, max_normals=12)
-        masses = gauss_surface_polygon(K).masses
+        masses = gauss_surface_polygon(K)
         eps = 1e-6
         for i in range(K.num_edges):
             hp = K.support.copy(); hp[i] += eps
@@ -276,47 +276,51 @@ class TestGaussVolumeMc:
 
 class TestEdgeMeasures:
     def test_square_edge_masses(self):
-        em = gauss_surface_polygon(box_polygon(1.0))
-        np.testing.assert_allclose(em.masses, SQUARE_EDGE_MASS, atol=1e-14)
-        assert em.total_mass == pytest.approx(4.0 * SQUARE_EDGE_MASS, abs=1e-13)
+        masses = gauss_surface_polygon(box_polygon(1.0))
+        np.testing.assert_allclose(masses, SQUARE_EDGE_MASS, atol=1e-14)
+        assert masses.sum() == pytest.approx(4.0 * SQUARE_EDGE_MASS, abs=1e-13)
 
     def test_regular_polygon_equal_masses(self):
-        em = gauss_surface_polygon(disc_polygon(1.3, 48))
-        assert np.ptp(em.masses) <= 1e-15
+        masses = gauss_surface_polygon(disc_polygon(1.3, 48))
+        assert np.ptp(masses) <= 1e-15
 
     def test_disc_total_approaches_ball_density(self):
         for r in (1.0, 1.5):
-            em = gauss_surface_polygon(disc_polygon(r, 512))
-            assert em.total_mass == pytest.approx(r * math.exp(-0.5 * r * r), abs=1e-5)
+            total = gauss_surface_polygon(disc_polygon(r, 512)).sum()
+            assert total == pytest.approx(r * math.exp(-0.5 * r * r), abs=1e-5)
 
     def test_lp_reweights_by_support_power(self):
         K = random_body(21)
         base = gauss_surface_polygon(K)
         for p in (0.5, 1.0, 2.0, 3.5):
-            em = lp_gauss_surface_polygon(K, p)
-            np.testing.assert_array_equal(em.masses,
-                                          K.support ** (1.0 - p) * base.masses)
+            np.testing.assert_array_equal(lp_gauss_surface_polygon(K, p),
+                                          K.support ** (1.0 - p) * base)
 
     def test_p1_equals_base(self):
         K = random_body(22)
-        a = gauss_surface_polygon(K)
-        b = lp_gauss_surface_polygon(K, 1.0)
-        np.testing.assert_array_equal(a.masses, b.masses)
+        np.testing.assert_array_equal(gauss_surface_polygon(K),
+                                      lp_gauss_surface_polygon(K, 1.0))
 
     def test_square_p2_unchanged(self):
-        em1 = lp_gauss_surface_polygon(box_polygon(1.0), 2.0)
-        np.testing.assert_allclose(em1.masses, SQUARE_EDGE_MASS, atol=1e-14)
+        masses = lp_gauss_surface_polygon(box_polygon(1.0), 2.0)
+        np.testing.assert_allclose(masses, SQUARE_EDGE_MASS, atol=1e-14)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_total_below_dimensional_bound(self, seed):
         K = random_body(seed)
-        assert gauss_surface_polygon(K).total_mass <= BALL_SURFACE_BOUND + 1e-9
+        assert gauss_surface_polygon(K).sum() <= BALL_SURFACE_BOUND + 1e-9
 
-    def test_bound_enforced_on_construction(self):
-        with pytest.raises(ValueError):
-            EdgeMeasure(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-                        np.array([2.0, 2.0, 1.0]), 1.0)
+    def test_measure_leaves_out_underflowed_edges(self):
+        # the edge at h = 40 carries e^{-800} = 0: the measure keeps the other
+        # three atoms, in edge order, with their L_p masses
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        K = wulff_shape(normals, np.array([1.0, 1.0, 1.0, 40.0]))
+        masses = lp_gauss_surface_polygon(K, 1.5)
+        assert masses[3] == 0.0 and np.all(masses[:3] > 0.0)
+        mu = lp_surface_measure(K, 1.5)
+        np.testing.assert_array_equal(mu.directions, normals[:3])
+        np.testing.assert_array_equal(mu.masses, masses[:3])
 
     def test_ball_density_peaks_at_one(self):
         r = np.linspace(0.05, 4.0, 400)
@@ -324,11 +328,6 @@ class TestEdgeMeasures:
         i = int(np.argmax(dens))
         assert r[i] == pytest.approx(1.0, abs=0.02)
         assert dens[0] < dens[i] and dens[-1] < dens[i]
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            EdgeMeasure(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-                        np.array([0.1, -0.1, 0.1]), 1.0)
 
 
 class TestSmoothDensity:
@@ -356,7 +355,7 @@ class TestSmoothDensity:
         from gaussmink.geometry import field_to_polygon
         for p in (1.0, 2.0):
             total_smooth = smooth_lp_density(fld, p).mean() * 2.0 * np.pi
-            total_edges = lp_gauss_surface_polygon(field_to_polygon(fld), p).total_mass
+            total_edges = lp_gauss_surface_polygon(field_to_polygon(fld), p).sum()
             assert total_smooth == pytest.approx(total_edges, abs=8.0 / N**2)
 
 

@@ -22,6 +22,7 @@ from gaussmink.families import (
 from gaussmink.gaussian import (
     gauss_constants,
     gauss_volume_exact,
+    lp_gauss_surface_polygon,
     scale_to_gauss_volume,
 )
 from gaussmink.geometry import (
@@ -42,7 +43,6 @@ from gaussmink.verify import (
     check_uniqueness,
     check_variational_formula,
     format_table,
-    lp_measure_total,
     run_suite,
 )
 
@@ -154,7 +154,7 @@ class TestVariationalFormula:
         t = 1e-4
         moved = wulff_shape(body.normals, body.support + t)
         slope = (gauss_volume_exact(moved) - base) / t
-        total = lp_measure_total(body, 1.0)
+        total = lp_gauss_surface_polygon(body, 1.0).sum()
         assert abs(slope - total) <= 1e-5
 
     def test_square_total(self):
@@ -170,7 +170,7 @@ class TestVariationalFormula:
         r = check_variational_formula(body, body.support, p)
         assert r.passed
         side = json.loads(r.witness)["measure_side"]
-        expected = float(body.support[0]) * lp_measure_total(body, 1.0) / p
+        expected = float(body.support[0]) * lp_gauss_surface_polygon(body, 1.0).sum() / p
         assert side == pytest.approx(expected, rel=1e-10)
 
     def test_random_bodies(self):
@@ -332,7 +332,7 @@ class TestIsoperimetric:
         totals = []
         for cap in (1.0, 2.0, 4.0, 8.0):
             body = scale_to_gauss_volume(elongated_hexagon(cap))
-            totals.append(lp_measure_total(body, 1.0))
+            totals.append(lp_gauss_surface_polygon(body, 1.0).sum())
         assert all(a > b for a, b in zip(totals, totals[1:]))
         assert all(t >= bound * (1.0 - 1e-6) for t in totals)
 
@@ -361,6 +361,17 @@ class TestBallBound:
         for _ in range(20):
             assert check_ball_bound(random_polygon(rng)).passed
 
+    def test_violation_is_reported(self, monkeypatch):
+        # masses of total 8 break the bound 4 * 2^(1/4): a NO row with its
+        # witness, not an exception
+        monkeypatch.setattr(verify, "gauss_surface_polygon",
+                            lambda K: np.full(K.num_edges, 2.0))
+        r = check_ball_bound(box_polygon(1.0))
+        assert not r.passed
+        assert r.worst_violation == pytest.approx(8.0 - 4.0 * 2.0**0.25, abs=1e-12)
+        assert r.worst_violation == pytest.approx(3.243, abs=1e-3)
+        assert json.loads(r.witness)["total"] == 8.0
+
 
 class TestUniqueness:
     def test_identical_body(self):
@@ -376,8 +387,8 @@ class TestUniqueness:
         target = small * math.exp(-0.5 * small**2)
         large = brentq(lambda r: r * math.exp(-0.5 * r * r) - target, 1.0, 10.0)
         a, b = disc_polygon(small, 128), disc_polygon(large, 128)
-        ta = lp_measure_total(a, 1.0)
-        tb = lp_measure_total(b, 1.0)
+        ta = lp_gauss_surface_polygon(a, 1.0).sum()
+        tb = lp_gauss_surface_polygon(b, 1.0).sum()
         assert ta == pytest.approx(tb, rel=1e-3)  # polygon discretization gap
         r = check_uniqueness(a, b, 1.0)
         assert r.passed
