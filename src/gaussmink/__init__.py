@@ -2,8 +2,7 @@
 the associated Minkowski problems (discrete variational and smooth homotopy)
 and a property-checking suite for the underlying inequalities."""
 
-from .discrete import (VariationalProblem, phi_objective, recover_multiplier,
-                       solve_constrained)
+from .discrete import VariationalProblem, recover_multiplier, solve_constrained
 from .errors import (ConvexityError, HemisphereConditionError, MassBoundError,
                      NoConstantSolutionError, RoundingFloorError,
                      SolverStallError, UnboundedBodyError, WrongBranchError)
@@ -13,13 +12,12 @@ from .gaussian import (GaussConstants, gauss_constants, gauss_surface_polygon,
                        scale_to_gauss_volume, smooth_lp_density,
                        std_normal_cdf, std_normal_quantile)
 from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
-                       body_hausdorff_distance, box_polygon,
-                       check_hemisphere_condition, combine_bodies,
+                       body_hausdorff_distance, box_polygon, combine_bodies,
                        disc_polygon, field_to_polygon, lp_combination,
-                       polar_body, wulff_shape)
+                       wulff_shape)
 from .report import SolveReport
-from .smooth import (HomotopyOptions, HomotopyStep, HomotopyTrace,
-                     constant_branch_start, linearized_guard, solve_homotopy)
+from .smooth import (HomotopyOptions, HomotopyStep, constant_branch_start,
+                     linearized_guard, solve_homotopy)
 from .verify import (CheckResult, check_ball_bound, check_ehrhard,
                      check_isoperimetric, check_log_concavity,
                      check_mixed_measure_inequality, check_uniqueness,
@@ -30,20 +28,18 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "ConvexityError", "DiscreteMeasure", "GaussConstants",
     "HemisphereConditionError", "HomotopyOptions", "HomotopyStep",
-    "HomotopyTrace", "MassBoundError", "NoConstantSolutionError",
-    "RoundingFloorError", "SolveReport", "SolverStallError",
-    "SupportField", "SupportPolygon", "UnboundedBodyError",
-    "VariationalProblem", "WrongBranchError", "body_hausdorff_distance",
-    "box_polygon", "check_ball_bound", "check_ehrhard",
-    "check_hemisphere_condition", "check_isoperimetric",
-    "check_log_concavity", "check_mixed_measure_inequality",
-    "check_uniqueness", "check_variational_formula", "combine_bodies",
-    "constant_branch_start", "disc_polygon", "field_to_polygon",
-    "format_table", "gauss_constants", "gauss_surface_polygon",
-    "gauss_volume", "gauss_volume_exact", "gauss_volume_mc",
-    "linearized_guard", "lp_combination", "lp_gauss_surface_polygon",
-    "lp_surface_measure", "phi_objective", "polar_body",
-    "recover_multiplier", "run_suite", "scale_to_gauss_volume",
-    "smooth_lp_density", "solve_constrained", "solve_homotopy",
-    "std_normal_cdf", "std_normal_quantile", "wulff_shape",
+    "MassBoundError", "NoConstantSolutionError", "RoundingFloorError",
+    "SolveReport", "SolverStallError", "SupportField", "SupportPolygon",
+    "UnboundedBodyError", "VariationalProblem", "WrongBranchError",
+    "body_hausdorff_distance", "box_polygon", "check_ball_bound",
+    "check_ehrhard", "check_isoperimetric", "check_log_concavity",
+    "check_mixed_measure_inequality", "check_uniqueness",
+    "check_variational_formula", "combine_bodies", "constant_branch_start",
+    "disc_polygon", "field_to_polygon", "format_table", "gauss_constants",
+    "gauss_surface_polygon", "gauss_volume", "gauss_volume_exact",
+    "gauss_volume_mc", "linearized_guard", "lp_combination",
+    "lp_gauss_surface_polygon", "lp_surface_measure", "recover_multiplier",
+    "run_suite", "scale_to_gauss_volume", "smooth_lp_density",
+    "solve_constrained", "solve_homotopy", "std_normal_cdf",
+    "std_normal_quantile", "wulff_shape",
 ]

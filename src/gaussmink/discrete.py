@@ -17,13 +17,13 @@ Method: Newton's method on the KKT system in (h, lambda),
 
 where g is the vector of exact Gaussian edge masses, the gradient of the
 exact per-sector volume.  With the atoms sorted by angle the Hessian of
-gamma_2 is cyclic tridiagonal, so a step costs two cyclic-tridiagonal solves
-and a scalar Schur complement for lambda.  Steps are halved until every atom
-keeps its facet and the residual norm decreases; the iteration stops at a
-scaled residual of 1e-13 or at the rounding floor, where no halving
-decreases it.  The solve is deterministic: it starts on the constraint, from
-the ball whose Gaussian volume is the target, or, for p < 1, where phi is
-not convex, from the solution at p = 1.
+gamma_2 is cyclic tridiagonal, so a step costs one cyclic-tridiagonal solve
+with two right-hand sides and a scalar Schur complement for lambda.  Steps
+are halved until every atom keeps its facet and the residual norm
+decreases; the iteration stops at a scaled residual of 1e-13 or at the
+rounding floor, where no halving decreases it.  The solve is deterministic:
+it starts on the constraint, from the ball whose Gaussian volume is the
+target, or, for p < 1, where phi is not convex, from the solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
@@ -54,7 +54,6 @@ from .geometry import (
     TWO_PI,
     DiscreteMeasure,
     SupportPolygon,
-    check_hemisphere_condition,
     hemisphere_margin,
     wulff_shape_with_indices,
     _angles_of,
@@ -80,24 +79,12 @@ class VariationalProblem:
     volume_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.mu.dimension != 2:
-            raise ValueError("the discrete solver handles planar measures only")
-        if self.p <= 0.0:
+        if not self.p > 0.0:
             raise ValueError("exponent p must be positive")
         if not 0.0 < self.target_volume < 1.0:
             raise ValueError("target volume must lie in (0, 1)")
-        if self.stationarity_tol <= 0.0 or self.volume_tol <= 0.0:
+        if not (self.stationarity_tol > 0.0 and self.volume_tol > 0.0):
             raise ValueError("tolerances must be positive")
-
-
-def phi_objective(h, mu: DiscreteMeasure, p: float) -> float:
-    """phi(h) = sum_i mass_i h_i^p over the atom directions."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (mu.num_atoms,):
-        raise ValueError("one support value per atom required")
-    if np.any(h <= 0.0):
-        raise ValueError("support values must be positive")
-    return float(mu.masses @ h**p)
 
 
 def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
@@ -145,14 +132,6 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     return lam, residual
 
 
-def _hemisphere_error(mu: DiscreteMeasure) -> HemisphereConditionError:
-    return HemisphereConditionError(
-        "measure is concentrated on a closed hemisphere (margin "
-        f"{hemisphere_margin(mu):.3g}): translates of a halfplane-like body "
-        "lower the objective without bound, so no minimizer exists"
-    )
-
-
 def solve_constrained(prob: VariationalProblem) -> SolveReport:
     """Minimize phi subject to the Gaussian volume constraint.
 
@@ -161,8 +140,12 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
     stops short of the problem's tolerances.
     """
     mu, p = prob.mu, prob.p
-    if not check_hemisphere_condition(mu, epsilon=1e-8):
-        raise _hemisphere_error(mu)
+    margin = hemisphere_margin(mu)
+    if not margin > 1e-8:
+        raise HemisphereConditionError(
+            f"measure is concentrated on a closed hemisphere (margin {margin:.3g}): "
+            "translates of a halfplane-like body lower the objective without "
+            "bound, so no minimizer exists")
     flags: list[str] = []
     constants = gauss_constants(2, p)
     # Uniqueness of the unnormalized problem S_p(K) = mu on the gamma > 1/2
@@ -240,9 +223,9 @@ def _newton_kkt(directions, masses, p, target, h, lam, accepted):
         # [A -g; g^T 0] [dh; dlam] = -[F_1; F_2] by the Schur complement.
         sub, diag, sup = _volume_hessian_bands(body, g)
         diag = p * (p - 1.0) * masses * h ** (p - 2.0) - lam * diag
-        try:
-            x = solve_cyclic_tridiagonal(-lam * sub, diag, -lam * sup, -f1)
-            y = solve_cyclic_tridiagonal(-lam * sub, diag, -lam * sup, g)
+        try:  # contiguous copies: g @ x on a strided view rounds differently
+            x, y = solve_cyclic_tridiagonal(
+                -lam * sub, diag, -lam * sup, np.column_stack([-f1, g])).T.copy()
         except SolverStallError:
             return body, steps, "singular KKT matrix"
         dlam = -(f2 + g @ x) / (g @ y)

@@ -8,9 +8,7 @@ values,
 
 reduced so that every retained halfplane contributes an edge of positive
 length.  Normals are unit vectors sorted by angle; vertices are derived as
-intersections of consecutive edge lines.  The polar dual swaps the roles of
-vertices and scaled normals (rho_K = 1 / h_{K*}), which keeps both directions
-of the duality exact at the level of floating point line intersections.
+intersections of consecutive edge lines.
 
 Radial queries use the star-shaped decomposition about the origin: the ray at
 angle alpha hits the unique edge whose vertex-angle sector contains alpha, so
@@ -254,24 +252,6 @@ def _direction_grid(resolution: int) -> np.ndarray:
     return grid
 
 
-def polar_body(body: SupportPolygon) -> SupportPolygon:
-    """Polar dual K* = {y : x . y <= 1 for all x in K}.
-
-    Vertices of K map to edges of K* (normal x/|x| at distance 1/|x|) and
-    edges of K map to vertices nu/h, so polar(polar(K)) reproduces K exactly
-    up to the line intersections.
-    """
-    vnorm = np.linalg.norm(body.vertices, axis=1)
-    normals = body.vertices / vnorm[:, None]
-    support = 1.0 / vnorm
-    vertices = np.roll(body.normals / body.support[:, None], -1, axis=0)
-    # Canonical rotation: start at the smallest normal angle.
-    ang = _angles_of(normals)
-    shift = int(np.argmin(ang))
-    roll = lambda a: np.roll(a, -shift, axis=0)
-    return SupportPolygon(roll(normals), roll(support), roll(vertices))
-
-
 def scale_body(body: SupportPolygon, s: float) -> SupportPolygon:
     """Dilate by s > 0 about the origin."""
     if s <= 0.0:
@@ -418,11 +398,6 @@ def hemisphere_margin(mu: DiscreteMeasure) -> float:
     inside = (prefix[np.searchsorted(doubled, s + math.pi, side="left")]
               - prefix[np.searchsorted(doubled, s, side="right")])
     return float(np.min(inside[:, 1] * np.cos(s) - inside[:, 0] * np.sin(s)))
-
-
-def check_hemisphere_condition(mu: DiscreteMeasure, epsilon: float = 1e-8) -> bool:
-    """True iff the hemisphere margin exceeds epsilon (solver precondition)."""
-    return hemisphere_margin(mu) > epsilon
 
 
 @dataclass(frozen=True)

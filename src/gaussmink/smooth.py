@@ -95,7 +95,7 @@ class HomotopyOptions:
     r_star: float | None = None
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
+        if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
         if self.r_star is not None and not self.r_star > 0.0:
             raise ValueError("r_star override must be positive")
@@ -122,24 +122,6 @@ class HomotopyStep:
             raise ValueError("accepted step must have positive convexity surrogate")
         if not self.gauss_volume > 0.5:
             raise ValueError("accepted step must have Gaussian volume above 1/2")
-
-
-@dataclass(frozen=True)
-class HomotopyTrace:
-    """Certified continuation path: t strictly increasing, ending at 1."""
-
-    steps: tuple[HomotopyStep, ...]
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise ValueError("trace must contain at least one step")
-        t = np.array([s.t for s in steps])
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("t must be strictly increasing along the trace")
-        if t[-1] != 1.0:
-            raise ValueError("trace must end at t = 1")
-        object.__setattr__(self, "steps", steps)
 
 
 def constant_branch_start(c0: float, p: float) -> float:
@@ -226,11 +208,14 @@ def _jacobian_bands(field: SupportField, p: float):
 def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     """Direct solve of the periodic tridiagonal system via rank-one repair.
 
-    Shared by the smooth Newton step and the discrete Newton-KKT step.
+    Shared by the smooth Newton step and the discrete Newton-KKT step; rhs
+    is an (n,) vector or an (n, k) stack of columns, and the solution has its
+    shape.
 
     The wraparound corners J[0,n-1] = sub[0] and J[n-1,0] = sup[n-1] are
-    split off as an outer product u v^T, the remaining band is factored with
-    solve_banded, and the Sherman-Morrison identity restores the corners.
+    split off as an outer product u v^T, and the Sherman-Morrison identity
+    restores them.  One solve_banded call solves the remaining band for the
+    right-hand sides and u together.
     """
     n = len(diag)
     corner_top = sub[0]
@@ -242,20 +227,21 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     band[1, 0] -= gamma
     band[1, n - 1] -= corner_top * corner_bot / gamma
     band[2, :-1] = sub[1:]
+    rhs = np.asarray(rhs, dtype=float)
+    u = np.zeros(n)
+    u[0] = gamma
+    u[n - 1] = corner_bot
     try:
-        y = solve_banded((1, 1), band, rhs)
-        u = np.zeros(n)
-        u[0] = gamma
-        u[n - 1] = corner_bot
-        q = solve_banded((1, 1), band, u)
+        solved = solve_banded((1, 1), band, np.column_stack([rhs, u]))
     except (LinAlgError, ValueError) as exc:
         raise SolverStallError("singular cyclic-tridiagonal system") from exc
+    y, q = solved[:, :-1], solved[:, -1]
     denom = 1.0 + q[0] + corner_top / gamma * q[n - 1]
     correction = (y[0] + corner_top / gamma * y[n - 1]) / denom
-    delta = y - correction * q
+    delta = y - q[:, None] * correction
     if abs(denom) < 1e-12 or not np.all(np.isfinite(delta)):
         raise SolverStallError("singular cyclic-tridiagonal system")
-    return delta
+    return delta.reshape(rhs.shape)
 
 
 def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
@@ -387,7 +373,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
         raise ValueError("resolution must be an even integer >= 64")
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("f must be positive and finite")
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError("p must be positive")
 
     flags: list[str] = []
@@ -467,15 +453,14 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
         if iters <= 4:
             dt = min(2.0 * dt, T_STEP_INITIAL)
 
-    trace = HomotopyTrace(tuple(steps))
     density = smooth_lp_density(field, p)
     return SolveReport(
         body=field,
         multiplier=float(density @ f / (f @ f)),
-        volume_residual=trace.steps[-1].gauss_volume - 0.5,
+        volume_residual=steps[-1].gauss_volume - 0.5,
         stationarity_residual=float(np.max(np.abs(density - f))),
         iterations=total_newton,
-        homotopy_trace=trace.steps,
+        homotopy_trace=tuple(steps),
         flags=tuple(flags),
         objective_trace=(),
     )

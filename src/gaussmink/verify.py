@@ -45,8 +45,9 @@ from .geometry import (
 )
 
 UNIFORM_SLACK = 1e-6
-_T_VALUES = (1e-3, 5e-4, 2.5e-4)  # variational-check forward-difference steps
-_MAX_T_HALVINGS = 4  # halvings of that ladder before the check fails
+# variational-check forward-difference steps t_j = _T_FIRST 2^-j: the first
+# _T_ALWAYS always, then more while fewer than two keep every facet
+_T_FIRST, _T_ALWAYS, _T_COUNT = 1e-3, 3, 7
 _LP_REFINE = 256  # extra uniform normals sampling an L_p (p != 1) combination
 _MEASURE_TOL, _BODY_TOL = 1e-8, 1e-6  # uniqueness: equal measures, equal bodies
 
@@ -88,11 +89,11 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
 
     For h_t = (h^p + t f^p)^(1/p) the derivative of gamma([h_t]) at t = 0
     equals (1/p) sum f_i^p per-edge L_p mass.  Forward differences at the
-    ``_T_VALUES`` steps are Richardson-extrapolated (2 E(t/2) - E(t) cancels
-    the O(t) term); the check passes when the extrapolated value matches the
-    measure side to 1e-4 relative.  When fewer than two t values keep every
-    facet of the body, the whole ladder is halved, at most
-    ``_MAX_T_HALVINGS`` times.
+    steps t_j = 1e-3 2^-j, j < 3, are Richardson-extrapolated
+    (2 E(t/2) - E(t) cancels the O(t) term); the check passes when the
+    extrapolated value matches the measure side to 1e-4 relative.  While
+    fewer than two t values keep every facet of the body, the walk goes on
+    to smaller t, up to j = 6.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (body.num_edges,):
@@ -109,20 +110,16 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
 
     slopes: dict[float, float] = {}
     skipped = []
-    ladder = sorted(_T_VALUES, reverse=True)
-    for _ in range(_MAX_T_HALVINGS + 1):
-        for t in ladder:
-            if t in slopes or t in skipped:
-                continue
-            h_t = (h**p + t * f**p) ** (1.0 / p)
-            body_t = wulff_shape(body.normals, h_t)
-            if body_t.num_edges < body.num_edges:
-                skipped.append(t)  # perturbation large enough to drop a facet
-                continue
-            slopes[t] = (gauss_volume_exact(body_t) - base) / t
-        if len(slopes) >= 2:
-            break
-        ladder = [0.5 * t for t in ladder]  # a shorter edge needs smaller steps
+    for j in range(_T_COUNT):
+        if j >= _T_ALWAYS and len(slopes) >= 2:
+            break  # smaller t are for a short edge that drops at larger ones
+        t = _T_FIRST * 2.0**-j
+        h_t = (h**p + t * f**p) ** (1.0 / p)
+        body_t = wulff_shape(body.normals, h_t)
+        if body_t.num_edges < body.num_edges:
+            skipped.append(t)  # perturbation large enough to drop a facet
+            continue
+        slopes[t] = (gauss_volume_exact(body_t) - base) / t
     if len(slopes) < 2:
         witness = json.dumps({"error": "not enough usable t values",
                               "skipped": skipped, "p": p})

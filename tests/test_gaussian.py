@@ -402,11 +402,6 @@ class TestGaussConstants:
             gc = gauss_constants(n, 1.0)
             assert ball_gauss_volume(gc.r_half, n) == pytest.approx(0.5, abs=1e-13)
 
-    def test_composition_invariant_enforced(self):
-        from gaussmink.gaussian import GaussConstants
-        with pytest.raises(ValueError):
-            GaussConstants(2, 1.0, R_HALF, PSI_3_4, 0.999)
-
 
 class TestQuantileConvexity:
     def test_psi_prime_increasing_above_half(self):

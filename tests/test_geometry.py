@@ -17,13 +17,11 @@ from gaussmink.geometry import (
     SupportPolygon,
     box_polygon,
     body_hausdorff_distance,
-    check_hemisphere_condition,
     combine_bodies,
     disc_polygon,
     field_to_polygon,
     hemisphere_margin,
     lp_combination,
-    polar_body,
     scale_body,
     support_profile,
     wulff_shape,
@@ -283,13 +281,12 @@ class TestSupportPolygonValidation:
         with pytest.raises(ValueError, match="at least 3"):
             SupportPolygon(sq.normals[:2], sq.support[:2], sq.vertices[:2])
 
-    @given(st.integers(0, 10**6), st.floats(0.01, 100.0), st.booleans())
+    @given(st.integers(0, 10**6), st.floats(0.01, 100.0))
     @settings(max_examples=40, deadline=None)
-    def test_lazy_sector_table_on_derived_bodies(self, seed, s, polar):
+    def test_lazy_sector_table_on_derived_bodies(self, seed, s):
         # the ray through the midpoint of edge j hits edge j there, and every
         # ray ends on the supporting line of the edge it hits, inside the rest
         K = scale_body(random_body(seed), s)
-        K = polar_body(K) if polar else K
         mid = 0.5 * (K.vertices + np.roll(K.vertices, 1, axis=0))
         mid_angles = np.arctan2(mid[:, 1], mid[:, 0])
         assert np.array_equal(K.edge_index(mid_angles), np.arange(K.num_edges))
@@ -303,43 +300,6 @@ class TestSupportPolygonValidation:
                                    K.support[e], rtol=1e-12)
         np.testing.assert_allclose(rho * np.max(u @ K.normals.T / K.support, axis=1),
                                    1.0, rtol=1e-12)
-
-
-class TestPolarBody:
-    def test_square_polar_is_cross_polytope(self):
-        diamond = polar_body(box_polygon(1.0))
-        want = {(0, 1), (0, -1), (1, 0), (-1, 0)}
-        got = {tuple(np.round(v, 12)) for v in diamond.vertices}
-        assert got == want
-
-    def test_disc_polar_radius(self):
-        r, m = 1.7, 256
-        D = disc_polygon(r, m)
-        P = polar_body(D)
-        target = 1.0 / r
-        tol = target * (1.0 / math.cos(math.pi / m) - 1.0) + 1e-12
-        assert abs(support_profile(P, [[1.0, 0.0]])[0] - target) <= tol
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, seed):
-        K = random_body(seed)
-        KK = polar_body(polar_body(K))
-        assert KK.num_edges == K.num_edges
-        assert np.max(np.abs(KK.vertices - K.vertices)) <= 1e-10
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_radial_polar_support_identity(self, seed):
-        # rho_K(u) h_{K*}(u) = 1
-        K = random_body(seed)
-        P = polar_body(K)
-        rng = np.random.default_rng(seed + 3)
-        ang = rng.uniform(0.0, 2.0 * np.pi, 200)
-        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-        rho = K.radial(ang)
-        hp = support_profile(P, dirs)
-        assert np.max(np.abs(rho * hp - 1.0)) <= 1e-9
 
 
 class TestLpCombination:
@@ -425,7 +385,7 @@ class TestHemisphereCondition:
         )
         # margin = 0.3 * min_e (|e1.e| + |e2.e|) = 0.3 at axis directions
         assert hemisphere_margin(mu) == pytest.approx(0.3, abs=1e-6)
-        assert check_hemisphere_condition(mu, epsilon=0.1)
+        assert hemisphere_margin(mu) > 0.1
 
     def test_halfplane_concentration_fails(self):
         mu = DiscreteMeasure(
@@ -434,7 +394,7 @@ class TestHemisphereCondition:
             np.ones(3),
         )
         assert hemisphere_margin(mu) <= 1e-9
-        assert not check_hemisphere_condition(mu, epsilon=1e-6)
+        assert not hemisphere_margin(mu) > 1e-6
 
     def test_equilateral_margin(self):
         # min_e sum (e.v_i)_+ = sqrt(3)/2, attained at directions
@@ -442,7 +402,7 @@ class TestHemisphereCondition:
         theta = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
         mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]), np.ones(3))
         assert hemisphere_margin(mu) == pytest.approx(0.86602540378443865, abs=1e-12)
-        assert check_hemisphere_condition(mu, epsilon=0.5)
+        assert hemisphere_margin(mu) > 0.5
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -18,7 +18,6 @@ from gaussmink.geometry import SupportField, body_hausdorff_distance, field_to_p
 from gaussmink.smooth import (
     HomotopyOptions,
     HomotopyStep,
-    HomotopyTrace,
     _jacobian_bands,
     _rounding_floor,
     constant_branch_start,
@@ -154,6 +153,12 @@ class TestJacobian:
         rhs = rng.standard_normal(n)
         x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
         np.testing.assert_allclose(x, np.linalg.solve(J, rhs), atol=1e-12)
+        # an (n, k) right-hand side is solved column by column in one call
+        stacked = np.column_stack([rhs, rng.standard_normal(n), np.ones(n)])
+        xs = solve_cyclic_tridiagonal(sub, diag, sup, stacked)
+        assert xs.shape == (n, 3)
+        np.testing.assert_allclose(xs, np.linalg.solve(J, stacked), atol=1e-12)
+        assert np.array_equal(xs[:, 0], x)
 
     def test_constant_field_spectrum(self):
         # at h = r0 the scaled Jacobian is circulant with symbol
@@ -225,14 +230,10 @@ class TestOptionsAndTrace:
         with pytest.raises(ValueError):
             HomotopyStep(0.5, 3, 1e-12, 0.5, 0.4)  # volume certificate lost
 
-    def test_trace_monotonicity(self):
-        a = HomotopyStep(0.0, 0, 0.0, 1.0, 0.8)
-        b = HomotopyStep(1.0, 2, 1e-12, 1.0, 0.8)
-        assert HomotopyTrace((a, b)).steps == (a, b)
-        with pytest.raises(ValueError):
-            HomotopyTrace((b, a))
-        with pytest.raises(ValueError):
-            HomotopyTrace((a,))  # does not reach t = 1
+    def test_nan_tolerance_refused(self):
+        # every comparison with NaN is false, so `newton_tol <= 0` let it through
+        with pytest.raises(ValueError, match="newton_tol must be positive"):
+            HomotopyOptions(newton_tol=math.nan)
 
 
 class TestSolveHomotopy:
@@ -301,7 +302,8 @@ class TestSolveHomotopy:
         assert np.max(np.abs(rep.body.h - np.roll(rep.body.h, n // 2))) <= 1e-10
         assert rep.volume_residual > 0.0  # margin above half volume
         assert rep.flags == ()
-        HomotopyTrace(rep.homotopy_trace)  # validates the certified path
+        t = np.array([s.t for s in rep.homotopy_trace])
+        assert np.all(np.diff(t) > 0.0) and t[-1] == 1.0
 
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_grid_refinement(self, p, level):
@@ -309,6 +311,11 @@ class TestSolveHomotopy:
         coarse = solve_homotopy(cos_density(level, 0.2, 2, n), p).body.h
         fine = solve_homotopy(cos_density(level, 0.2, 2, 2 * n), p).body.h
         assert np.max(np.abs(coarse - fine[::2])) <= 8.0 / n**2
+
+    def test_nan_exponent_is_invalid_input(self):
+        # refused as input, not reported as a stall of the constant-start search
+        with pytest.raises(ValueError, match="p must be positive"):
+            solve_homotopy(np.full(64, 0.045), math.nan)
 
     def test_mass_bound_refused_before_stepping(self):
         # level chosen so the total 2 pi * 0.08 = 0.503 exceeds the p = 1
