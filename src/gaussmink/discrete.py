@@ -91,17 +91,15 @@ def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
     """Cyclic tridiagonal bands (sub, diag, sup) of d grad_i / d h_j.
 
     With E_i = e^{-|V_i|^2/2} / 2pi at the vertex V_i shared by edges i and
-    i+1, whose normals meet at the angle Delta_i,
+    i+1, |V_i|^2 = h_i^2 + t1_i^2, whose normals turn by the angle Delta_i,
 
         d g_i / d h_{i+1} = E_i / sin Delta_i              (symmetric),
         d g_i / d h_i     = -h_i g_i - E_i cot Delta_i - E_{i-1} cot Delta_{i-1}.
     """
-    nu, nxt = body.normals, _rotate(body.normals, 1)
-    sin = nu[:, 0] * nxt[:, 1] - nu[:, 1] * nxt[:, 0]
-    e = np.exp(-0.5 * np.einsum("ij,ij->i", body.vertices, body.vertices)) / TWO_PI
-    sup = e / sin
-    e_cot = sup * np.einsum("ij,ij->i", nu, nxt)
-    return _rotate(sup, -1), -body.support * grad - e_cot - _rotate(e_cot, -1), sup
+    h = body.support
+    sup = np.exp(-0.5 * (h * h + body.t1 * body.t1)) / (TWO_PI * body.turn_sin)
+    e_cot = sup * body.turn_cos
+    return _rotate(sup, -1), -h * grad - e_cot - _rotate(e_cot, -1), sup
 
 
 def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
@@ -114,10 +112,10 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     """
     sp = lp_gauss_surface_polygon(body, p)
     body_angles, atom_angles = body.normal_angles, _angles_of(mu.directions)
-    # The facet nearest to atom i is one of the two whose angles bracket it.
-    order = np.argsort(body_angles)
-    pos = np.searchsorted(body_angles[order], atom_angles)
-    cand = order[np.stack([pos - 1, pos % len(order)])]
+    # The facet nearest to atom i is one of the two whose angles bracket it;
+    # body normals are strictly sorted by angle.
+    pos = np.searchsorted(body_angles, atom_angles)
+    cand = np.stack([pos - 1, pos % body.num_edges])
     gap = np.abs(atom_angles - body_angles[cand])
     gap = np.minimum(gap, TWO_PI - gap)
     pick = np.argmin(gap, axis=0)

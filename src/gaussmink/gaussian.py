@@ -49,7 +49,6 @@ from .geometry import (
     SupportField,
     SupportPolygon,
     scale_body,
-    _rotate,
 )
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -112,9 +111,10 @@ def gauss_volume(body: SupportPolygon, resolution: int = 4096) -> float:
 def gauss_volume_exact(body: SupportPolygon) -> float:
     """Gaussian volume of a polygon as a sum of closed-form sector masses.
 
-    The rays at angles phi_j + [lo_j, hi_j] hit edge j at radius h_j / cos,
-    and x = tan(angle) turns the polar integral over that sector into
-    (hi_j - lo_j)/2pi - (T(h_j, tan hi_j) - T(h_j, tan lo_j)), with Owen's T
+    Edge j, at distance h_j, runs from t0_j to t1_j along its tangent, so the
+    rays hitting it make angles with tangent x in [t0_j/h_j, t1_j/h_j] with
+    its normal, and x turns the polar integral over that sector into
+    (arctan x1 - arctan x0)/2pi - (T(h_j, x1) - T(h_j, x0)), with Owen's T
     function from scipy.special.owens_t.  Accurate to about 1e-15 relative;
     on tiny bodies the two terms nearly cancel, leaving an absolute error
     near 1e-17.  The derivative in a support coordinate is exactly the edge's
@@ -125,12 +125,10 @@ def gauss_volume_exact(body: SupportPolygon) -> float:
 
 
 def _dilate_volume(body: SupportPolygon):
-    """The map s -> gamma_2(s K); sector angles are computed once, from K."""
-    phi = body.normal_angles
-    beta = np.arctan2(body.vertices[:, 1], body.vertices[:, 0])
-    hi = np.mod(beta - phi + math.pi, TWO_PI) - math.pi            # in (-pi/2, pi/2)
-    lo = np.mod(_rotate(beta, -1) - phi + math.pi, TWO_PI) - math.pi
-    widths, tangents = (hi - lo) / TWO_PI, np.tan([hi, lo])
+    """The map s -> gamma_2(s K).  A dilation keeps each sector end's tangent
+    t/h, so the tangents and sector widths are computed once, from K."""
+    tangents = np.stack([body.t1, body.t0]) / body.support
+    widths = np.subtract(*np.arctan(tangents)) / TWO_PI
 
     def volume(s: float) -> float:
         owen = special.owens_t(s * body.support, tangents)
@@ -194,15 +192,12 @@ def gauss_volume_mc(body: SupportPolygon, samples: int, seed: int) -> tuple[floa
 def gauss_surface_polygon(body: SupportPolygon) -> np.ndarray:
     """Gaussian surface area measure of a polygon (p = 1), one mass per edge.
 
-    Edge i, from V_{i-1} to V_i, has its ends at signed tangential coordinates
-    t0 < t1 about the foot of the perpendicular from the origin.  Its mass,
-    also d gamma_2 / d h_i, is e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi).
+    Edge i, from V_{i-1} to V_i, has its ends at the body's signed tangential
+    coordinates t0 < t1 about the foot of the perpendicular from the origin.
+    Its mass, also d gamma_2 / d h_i, is e^{-h^2/2} (Phi(t1) - Phi(t0)) / sqrt(2 pi).
     """
-    tau = np.column_stack([-body.normals[:, 1], body.normals[:, 0]])
-    t0 = np.einsum("ij,ij->i", _rotate(body.vertices, -1), tau)
-    t1 = np.einsum("ij,ij->i", body.vertices, tau)
-    return (np.exp(-0.5 * body.support**2) * (std_normal_cdf(t1) - std_normal_cdf(t0))
-            / SQRT_TWO_PI)
+    return (np.exp(-0.5 * body.support**2)
+            * (std_normal_cdf(body.t1) - std_normal_cdf(body.t0)) / SQRT_TWO_PI)
 
 
 def lp_gauss_surface_polygon(body: SupportPolygon, p: float) -> np.ndarray:

@@ -7,8 +7,8 @@ values,
     K = intersection over i of { x : x . nu_i <= h_i },
 
 reduced so that every retained halfplane contributes an edge of positive
-length.  Normals are unit vectors sorted by angle; vertices are derived as
-intersections of consecutive edge lines.
+length.  Normals are unit vectors sorted by angle; construction derives the
+edge ends in each edge's tangent frame, and the vertices from them.
 
 Radial queries use the star-shaped decomposition about the origin: the ray at
 angle alpha hits the unique edge whose vertex-angle sector contains alpha, so
@@ -57,50 +57,59 @@ def _rotate(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([a[k:], a[:k]])
 
 
-def _intersect_lines(nu_a, h_a, nu_b, h_b) -> np.ndarray:
-    """Intersection of x . nu_a = h_a and x . nu_b = h_b (arrays broadcast)."""
-    det = nu_a[..., 0] * nu_b[..., 1] - nu_a[..., 1] * nu_b[..., 0]
-    x = (h_a * nu_b[..., 1] - h_b * nu_a[..., 1]) / det
-    y = (h_b * nu_a[..., 0] - h_a * nu_b[..., 0]) / det
-    return np.stack([x, y], axis=-1)
-
-
 @dataclass(frozen=True)
 class SupportPolygon:
     """Planar convex body with the origin interior, in canonical edge form.
 
     normals[i] is the outward unit normal of edge i, sorted by angle starting
     from the smallest; support[i] > 0 is the distance of the edge line from
-    the origin; vertices[i] is the corner shared by edges i and i+1 (cyclic).
-    Construct through :func:`wulff_shape`, which removes redundant halfplanes.
+    the origin.  Construct through :func:`wulff_shape`, which removes
+    redundant halfplanes.  Construction derives the edge frame once, read-only
+    like the inputs.  With c, s = turn_cos[i], turn_sin[i] = nu_i . nu_{i+1},
+    nu_i x nu_{i+1} and tau_i the normal turned a quarter left,
+
+        t1[i]       = (h_{i+1} - h_i)/s + h_i s/(1 + c),
+        t0[i+1]     = (h_{i+1} - h_i)/s - h_{i+1} s/(1 + c),
+        vertices[i] = h_i nu_i + t1[i] tau_i:
+
+    edge i runs from t0[i] to t1[i] along tau_i, measured from its foot
+    h_i nu_i, and vertices[i] is the corner of edges i and i+1 (cyclic).
+    Unlike (h_{i+1} - h_i c)/s, this form keeps its precision for close
+    normals; past a quarter turn, s/(1 + c) = tan(turn/2) is taken as (1 - c)/s.
     """
 
     normals: np.ndarray
     support: np.ndarray
-    vertices: np.ndarray
+    turn_cos: np.ndarray = field(init=False, repr=False, compare=False)
+    turn_sin: np.ndarray = field(init=False, repr=False, compare=False)
+    t0: np.ndarray = field(init=False, repr=False, compare=False)
+    t1: np.ndarray = field(init=False, repr=False, compare=False)
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = _as_unit_rows(self.normals, tol=_UNIT_TOL)
         support = np.asarray(self.support, dtype=float)
-        vertices = np.asarray(self.vertices, dtype=float)
         m = normals.shape[0]
         if m < 3:
             raise ValueError("a polygon needs at least 3 edges")
-        if support.shape != (m,) or vertices.shape != (m, 2):
+        if support.shape != (m,):
             raise ValueError("inconsistent array lengths")
         if np.any(support <= 0.0):
             raise ValueError("support values must be positive (origin interior)")
         ang = _angles_of(normals)
         if np.any(np.diff(ang) <= 0.0):
             raise ValueError("normals must be strictly sorted by angle")
-        # Vertex i must sit on the lines of edges i and i+1.
-        scale = support.max()
-        on_i = np.abs(np.einsum("ij,ij->i", vertices, normals) - support)
-        on_next = np.abs(np.einsum("ij,ij->i", vertices, _rotate(normals, 1))
-                         - _rotate(support, 1))
-        if max(on_i.max(), on_next.max()) > 1e-9 * max(scale, 1.0):
-            raise ValueError("vertices do not lie on their edge lines")
-        for name, arr in (("normals", normals), ("support", support), ("vertices", vertices)):
+        (x, y), (nx, ny), h_next = normals.T, _rotate(normals, 1).T, _rotate(support, 1)
+        c, s = x * nx + y * ny, x * ny - y * nx
+        if np.any(s <= 0.0):
+            raise UnboundedBodyError("consecutive normals must be less than pi apart")
+        near = c > 0.0  # tan(turn / 2), in the form that does not cancel
+        bend = np.where(near, s, 1.0 - c) / np.where(near, 1.0 + c, s)
+        rise = (h_next - support) / s
+        t1, t0 = rise + support * bend, _rotate(rise - h_next * bend, -1)
+        vertices = np.column_stack([support * x - t1 * y, support * y + t1 * x])
+        for name, arr in (("normals", normals), ("support", support), ("turn_cos", c),
+                          ("turn_sin", s), ("t0", t0), ("t1", t1), ("vertices", vertices)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -144,7 +153,7 @@ def _left_turns(ux, uy, vx, vy):
 
 
 def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
-    """Canonical Wulff reduction: (kept, normals, support, vertices).
+    """Canonical Wulff reduction: (kept, normals, support).
 
     kept holds the caller's indices of the surviving constraints by angle.
     Redundancy removal is the convex hull of the polar points nu_i / h_i,
@@ -186,12 +195,13 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
     rot = (np.arange(m) + int(np.argmax(np.einsum("ij,ij->i", q, q)))) % m
     pts = q[rot]
     u = pts - pts[np.arange(-1, m - 1)]  # u[j] = p_j - p_{j-1}
-    ok = _left_turns(*u.T, *u[np.arange(1, m + 1) % m].T).tolist()
+    ok = _left_turns(*u.T, *u[np.arange(1, m + 1) % m].T)
     ok[0] = True
-    x, y = pts.T.tolist()
-    prev, succ = [m - 1, *range(m - 1)], [*range(1, m), 0]
     kept_local, alive = np.ones(m, dtype=bool), m
-    todo = [j for j in range(m - 1, 0, -1) if not ok[j]]  # first failure on top
+    todo = np.flatnonzero(~ok)[::-1].tolist()  # first failure on top
+    if todo:  # the scan state, as lists for the scalar loop below
+        ok, (x, y) = ok.tolist(), pts.T.tolist()
+        prev, succ = [m - 1, *range(m - 1)], [*range(1, m), 0]
     while todo and alive >= 3:  # the scan stops closing the hull at 2 points
         j = todo.pop()
         if ok[j]:
@@ -206,10 +216,7 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
                 todo.append(k)
 
     kept = idx[np.sort(rot[kept_local])]  # original indices, ascending angle
-    nu_k = normals[kept]
-    h_k = support[kept]
-    vertices = _intersect_lines(nu_k, h_k, _rotate(nu_k, 1), _rotate(h_k, 1))
-    return kept, nu_k, h_k, vertices
+    return kept, normals[kept], support[kept]
 
 
 def wulff_shape(normals, support) -> SupportPolygon:
@@ -223,14 +230,14 @@ def wulff_shape(normals, support) -> SupportPolygon:
     Raises UnboundedBodyError when the normals lie in a closed halfplane and
     ValueError for nonpositive support values or fewer than 3 normals.
     """
-    _, nu_k, h_k, vertices = _reduce_halfplanes(normals, support)
-    return SupportPolygon(nu_k, h_k, vertices)
+    _, nu_k, h_k = _reduce_halfplanes(normals, support)
+    return SupportPolygon(nu_k, h_k)
 
 
 def wulff_shape_with_indices(normals, support):
     """Like :func:`wulff_shape` but also returns the retained input indices."""
-    kept, nu_k, h_k, vertices = _reduce_halfplanes(normals, support)
-    return SupportPolygon(nu_k, h_k, vertices), kept
+    kept, nu_k, h_k = _reduce_halfplanes(normals, support)
+    return SupportPolygon(nu_k, h_k), kept
 
 
 def support_profile(body: SupportPolygon, directions) -> np.ndarray:
@@ -256,7 +263,7 @@ def scale_body(body: SupportPolygon, s: float) -> SupportPolygon:
     """Dilate by s > 0 about the origin."""
     if s <= 0.0:
         raise ValueError("scale factor must be positive")
-    return SupportPolygon(body.normals, s * body.support, s * body.vertices)
+    return SupportPolygon(body.normals, s * body.support)
 
 
 def disc_polygon(radius: float, m: int = 512) -> SupportPolygon:

@@ -32,7 +32,6 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import brentq
 
 from .errors import (
-    ConvexityError,
     MassBoundError,
     NoConstantSolutionError,
     RoundingFloorError,
@@ -268,7 +267,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
             break  # every smaller t evaluates the same point
         try:
             trial = SupportField(field.resolution, candidate)
-        except (ConvexityError, ValueError):
+        except ValueError:  # a ConvexityError among them
             t *= 0.5
             continue
         trial_defect = residual(trial, f, p)

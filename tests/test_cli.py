@@ -319,6 +319,19 @@ class TestSolveDiscreteCommand:
         body = serialize.body_from_dict(json.loads(body_path.read_text()))
         assert abs(gauss_volume_exact(body) - 0.5) < 1e-6
 
+    def test_ten_thousand_atom_file_solves(self, tmp_path, capsys):
+        # a valid measure file whose closest atoms are ~1e-8 rad apart: it
+        # used to exit 2, "vertices do not lie on their edge lines"
+        rng = np.random.default_rng(1)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 10_000)
+        mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                             rng.uniform(0.02, 0.3, 10_000))
+        path = tmp_path / "mu.json"
+        path.write_text(serialize.dumps_json(serialize.measure_to_dict(mu, 1.5)))
+        assert main(["solve-discrete", "--input", str(path)]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert float(kv["stationarity_residual"]) <= 1e-4
+
     def test_seed_flag_not_accepted(self, capsys):
         # a discrete solve is deterministic; a seed would be silently ignored
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Constrained variational solver: objective, gradient, solve, multiplier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def ring_measure(k, total, offset=0.0):
     theta = 2.0 * np.pi * np.arange(k) / k + offset
     return DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
                            np.full(k, total / k))
+
+
+def random_atoms(seed, k):
+    """k atoms at uniform random angles, masses U(0.02, 0.3)."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, k)
+    return DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                           rng.uniform(0.02, 0.3, k))
 
 
 def half_volume_body(normals, support):
@@ -307,6 +316,21 @@ class TestSolveConstrained:
         assume(not mu.is_even())
         assert_solved(mu, p)
 
+    def test_ten_thousand_atoms_in_linear_memory(self):
+        # the closest of 10^4 random angles are ~1e-8 rad apart; vertices
+        # computed by Cramer's rule fell off their lines by more than 1e-9
+        # there, and the solve failed before its first Newton step
+        mu = random_atoms(1, 10_000)
+        tracemalloc.start()
+        try:
+            rep = solve_constrained(VariationalProblem(mu, 1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.body.num_edges == mu.num_atoms
+        assert abs(rep.volume_residual) <= 1e-8 and rep.stationarity_residual <= 1e-4
+        assert peak < 32 * 2**20  # one k x k float array alone takes 763 MiB
+
     def test_hemisphere_violation_raises(self):
         theta = np.array([-1.2, -0.4, 0.3, 1.1])  # all within a halfplane
         mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
@@ -322,7 +346,7 @@ class TestSolveConstrained:
         assert len(exc.value.trace) > 0
 
     def test_rounding_floor_ends_the_halving_search(self, monkeypatch):
-        # the 512-gon solve ends at its rounding floor after 8 Newton steps;
+        # the 512-gon solve ends at its rounding floor after 5 Newton steps;
         # once a halved step no longer moves (h, lambda) the search stops
         # instead of reducing the same 512 halfplanes down to 2^-30
         calls = []
