@@ -16,8 +16,8 @@ from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
                        disc_polygon, field_to_polygon, lp_combination,
                        wulff_shape)
 from .report import SolveReport
-from .smooth import (HomotopyOptions, HomotopyStep, constant_branch_start,
-                     linearized_guard, solve_homotopy)
+from .smooth import (HomotopyStep, constant_branch_start, linearized_guard,
+                     solve_homotopy)
 from .verify import (CheckResult, check_ball_bound, check_ehrhard,
                      check_isoperimetric, check_log_concavity,
                      check_mixed_measure_inequality, check_uniqueness,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "ConvexityError", "DiscreteMeasure", "GaussConstants",
-    "HemisphereConditionError", "HomotopyOptions", "HomotopyStep",
+    "HemisphereConditionError", "HomotopyStep",
     "MassBoundError", "NoConstantSolutionError", "RoundingFloorError",
     "SolveReport", "SolverStallError", "SupportField", "SupportPolygon",
     "UnboundedBodyError", "VariationalProblem", "WrongBranchError",

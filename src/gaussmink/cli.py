@@ -26,7 +26,7 @@ from .errors import SolverStallError
 from .families import build_family, cos_density
 from .gaussian import gauss_constants, lp_gauss_surface_polygon, lp_surface_measure
 from .geometry import SupportField
-from .smooth import HomotopyOptions, HomotopyStep, solve_homotopy
+from .smooth import HomotopyStep, solve_homotopy
 from .verify import format_table, run_suite
 
 COMMANDS = ("measure", "solve-discrete", "solve-smooth", "verify",
@@ -173,9 +173,8 @@ def _smooth_density(config: RunConfig) -> np.ndarray:
 
 def _cmd_solve_smooth(config: RunConfig) -> int:
     values = _smooth_density(config)
-    opts = HomotopyOptions() if config.tol is None else HomotopyOptions(config.tol)
-    report = solve_homotopy(values, config.p if config.p is not None else 1.0,
-                            opts)
+    tol = {} if config.tol is None else {"newton_tol": config.tol}
+    report = solve_homotopy(values, config.p if config.p is not None else 1.0, **tol)
     sys.stdout.write(serialize.report_text(report))
     if config.output_path is not None:
         _write_output(config.output_path,

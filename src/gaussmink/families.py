@@ -24,11 +24,10 @@ FAMILY_NAMES = ("uniform-mgon", "square-measure", "cos-density",
                 "random-even", "hemisphere-bad")
 
 
-def random_polygon(rng: np.random.Generator, min_edges: int = 4,
-                   max_edges: int = 24) -> SupportPolygon:
-    """Bounded polygon with unit normals drawn on the circle, h in [0.6, 1.8]."""
+def random_polygon(rng: np.random.Generator, max_edges: int = 24) -> SupportPolygon:
+    """Bounded polygon of 4 to max_edges random unit normals, h in [0.6, 1.8]."""
     for _ in range(80):
-        m = int(rng.integers(min_edges, max_edges + 1))
+        m = int(rng.integers(4, max_edges + 1))
         theta = rng.uniform(0.0, TWO_PI, m)
         normals = np.column_stack([np.cos(theta), np.sin(theta)])
         support = rng.uniform(0.6, 1.8, m)
@@ -39,10 +38,9 @@ def random_polygon(rng: np.random.Generator, min_edges: int = 4,
     raise RuntimeError("random polygon generation kept hitting halfplane draws")
 
 
-def random_even_polygon(rng: np.random.Generator, min_pairs: int = 2,
-                        max_pairs: int = 12) -> SupportPolygon:
-    """Origin-symmetric polygon: antipodal normal pairs share their support."""
-    k = int(rng.integers(min_pairs, max_pairs + 1))
+def random_even_polygon(rng: np.random.Generator) -> SupportPolygon:
+    """Origin-symmetric polygon: 2 to 12 antipodal normal pairs share supports."""
+    k = int(rng.integers(2, 13))
     theta = rng.uniform(0.0, np.pi, k)
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
     support = rng.uniform(0.6, 1.8, k)
@@ -50,29 +48,26 @@ def random_even_polygon(rng: np.random.Generator, min_pairs: int = 2,
                        np.concatenate([support, support]))
 
 
-def elongated_hexagon(cap: float, width: float = 1.0,
-                      slope: float = 0.2) -> SupportPolygon:
-    """Origin-symmetric hexagon stretching toward the strip |x| <= width.
+def elongated_hexagon(cap: float) -> SupportPolygon:
+    """Origin-symmetric hexagon stretching toward the strip |x| <= 1.
 
-    Two vertical edges at distance `width` plus four slanted caps meeting
+    Two vertical edges at distance 1 plus four caps at slope 0.2 meeting
     the axis near `cap`; growing `cap` lets the hexagon approach the strip.
     """
-    if cap <= 0.0 or width <= 0.0:
-        raise ValueError("cap and width must be positive")
-    c, s = np.cos(slope), np.sin(slope)
+    if cap <= 0.0:
+        raise ValueError("cap must be positive")
+    c, s = np.cos(0.2), np.sin(0.2)
     normals = np.array([
         [1.0, 0.0], [-1.0, 0.0],
         [c, s], [-c, s], [c, -s], [-c, -s],
     ])
-    support = np.array([width, width,
-                        width * c + cap * s, width * c + cap * s,
-                        width * c + cap * s, width * c + cap * s])
+    slanted = c + cap * s
+    support = np.array([1.0, 1.0, slanted, slanted, slanted, slanted])
     return wulff_shape(normals, support)
 
 
-def random_even_measure(rng: np.random.Generator, min_pairs: int = 2,
-                        max_pairs: int = 10) -> DiscreteMeasure:
-    k = int(rng.integers(min_pairs, max_pairs + 1))
+def random_even_measure(rng: np.random.Generator) -> DiscreteMeasure:
+    k = int(rng.integers(2, 11))
     theta = rng.uniform(0.0, np.pi, k)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     masses = rng.uniform(0.02, 0.2, k)
@@ -107,10 +102,9 @@ def uniform_mgon_measure(m: int, total: float) -> DiscreteMeasure:
                            np.full(m, total / m))
 
 
-def square_surface_measure(p: float = 1.0) -> DiscreteMeasure:
-    """Surface area measure of the half-Gaussian-volume axis-aligned square."""
-    square = scale_to_gauss_volume(box_polygon(1.0))
-    return lp_surface_measure(square, p)
+def square_surface_measure() -> DiscreteMeasure:
+    """Gaussian surface area measure (p = 1) of the half-volume axis square."""
+    return lp_surface_measure(scale_to_gauss_volume(box_polygon(1.0)), 1.0)
 
 
 def cos_density(resolution: int, level: float = 0.045,
@@ -124,26 +118,25 @@ def cos_density(resolution: int, level: float = 0.045,
     return level * (1.0 + amplitude * np.cos(frequency * theta))
 
 
-def hemisphere_bad_measure(k: int = 5, seed: int = 0) -> DiscreteMeasure:
-    """Atoms squeezed into an open halfplane; fails the hemisphere condition."""
+def hemisphere_bad_measure(seed: int = 0) -> DiscreteMeasure:
+    """Five atoms squeezed into an open halfplane; fails the hemisphere condition."""
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-1.2, 1.2, k)
+    theta = rng.uniform(-1.2, 1.2, 5)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return DiscreteMeasure(2, dirs, rng.uniform(0.05, 0.3, k))
+    return DiscreteMeasure(2, dirs, rng.uniform(0.05, 0.3, 5))
 
 
-def build_family(name: str, seed: int = 0, resolution: int = 256,
-                 m: int = 8, total: float = 0.3, level: float = 0.045,
+def build_family(name: str, seed: int = 0, resolution: int = 256, m: int = 8,
                  amplitude: float = 0.2, frequency: int = 2):
     """Named deterministic inputs for the CLI generate subcommand."""
     if name == "uniform-mgon":
-        return uniform_mgon_measure(m, total)
+        return uniform_mgon_measure(m, 0.3)
     if name == "square-measure":
         return square_surface_measure()
     if name == "cos-density":
-        return cos_density(resolution, level, amplitude, frequency)
+        return cos_density(resolution, 0.045, amplitude, frequency)
     if name == "random-even":
         return random_even_measure(np.random.default_rng(seed))
     if name == "hemisphere-bad":
-        return hemisphere_bad_measure(seed=seed)
+        return hemisphere_bad_measure(seed)
     raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")

@@ -35,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 _UNIT_TOL = 1e-12          # deviation of stored unit vectors from norm 1
 _ANGLE_DEDUP_TOL = 1e-12   # normals closer than this in angle are duplicates
 _COLLINEAR_TOL = 1e-10     # relative cross-product threshold for redundancy
+_LP_REFINE = 256           # uniform normals added to an L_p (p != 1) combination
 
 
 def _as_unit_rows(vectors, tol: float = 1e-9) -> np.ndarray:
@@ -88,7 +89,7 @@ class SupportPolygon:
 
     def __post_init__(self):
         normals = _as_unit_rows(self.normals, tol=_UNIT_TOL)
-        support = np.asarray(self.support, dtype=float)
+        support = np.array(self.support, dtype=float)
         m = normals.shape[0]
         if m < 3:
             raise ValueError("a polygon needs at least 3 edges")
@@ -305,24 +306,24 @@ def lp_combination(hK, hL, a: float, b: float, p: float) -> np.ndarray:
 
 
 def combine_bodies(K: SupportPolygon, L: SupportPolygon, a: float, b: float,
-                   p: float, refine: int = 0) -> SupportPolygon:
+                   p: float) -> SupportPolygon:
     """Wulff shape of the L_p combination of two bodies.
 
-    Supports are evaluated exactly on the union of the two normal sets
-    (optionally refined with `refine` extra uniform directions, useful for
-    p != 1 where the true combination is not a polytope) and combined
-    pointwise.  For p = 1 this is the exact Minkowski combination aK + bL.
+    Supports are evaluated exactly on the union of the two normal sets and
+    combined pointwise.  For p = 1 this is the exact Minkowski combination
+    aK + bL.  For p != 1 the true combination is not a polygon, and the
+    union is joined with _LP_REFINE uniform directions.
     """
+    refine = _LP_REFINE if p != 1.0 else 0
     directions = np.vstack([K.normals, L.normals, _direction_grid(refine)])
     hK, hL = _support_values(K, directions), _support_values(L, directions)
     return wulff_shape(directions, lp_combination(hK, hL, a, b, p))
 
 
-def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon,
-                            resolution: int = 2048) -> float:
-    """Hausdorff distance max_v |h_K(v) - h_L(v)| over a dense direction grid
+def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon) -> float:
+    """Hausdorff distance max_v |h_K(v) - h_L(v)| over 2048 uniform directions
     joined with both bodies' own normals."""
-    dirs = np.vstack([_direction_grid(resolution), K.normals, L.normals])
+    dirs = np.vstack([_direction_grid(2048), K.normals, L.normals])
     return float(np.max(np.abs(_support_values(K, dirs) - _support_values(L, dirs))))
 
 
@@ -339,7 +340,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         directions = _as_unit_rows(self.directions, tol=1e-9)
-        masses = np.asarray(self.masses, dtype=float)
+        masses = np.array(self.masses, dtype=float)
         if self.dimension != 2:
             raise ValueError("only planar measures are supported")
         if directions.shape[1] != 2:
@@ -365,8 +366,8 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def is_even(self, tol: float = 1e-9) -> bool:
-        """True when atoms come in antipodal pairs of equal mass."""
+    def is_even(self) -> bool:
+        """True when atoms come in antipodal pairs of equal mass (to 1e-9)."""
         d, m = self.directions, self.masses
         # The atom nearest to -d_i is one of the two whose angles bracket the
         # antipodal angle, so a sort finds it in O(k log k).
@@ -377,9 +378,9 @@ class DiscreteMeasure:
         dist = np.linalg.norm(d[None, :, :] + d[cand], axis=2)
         pick = np.argmin(dist, axis=0)
         partner, gap = cand[pick, np.arange(len(d))], dist.min(axis=0)
-        if np.any(gap > tol):
+        if np.any(gap > 1e-9):
             return False
-        return bool(np.all(np.abs(m - m[partner]) <= tol * np.maximum(m, m[partner])))
+        return bool(np.all(np.abs(m - m[partner]) <= 1e-9 * np.maximum(m, m[partner])))
 
 
 def hemisphere_margin(mu: DiscreteMeasure) -> float:
@@ -427,7 +428,7 @@ class SupportField:
     curvature: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.shape != (self.resolution,):
             raise ValueError("h must have length equal to the resolution")
         if np.any(h <= 0.0) or not np.all(np.isfinite(h)):

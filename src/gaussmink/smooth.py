@@ -77,30 +77,6 @@ MAX_HALVINGS = 20       # damping halvings per Newton step
 
 
 @dataclass(frozen=True)
-class HomotopyOptions:
-    """Settings for solve_homotopy; the grid is that of the density f.
-
-    newton_tol is the max-norm residual each Newton solve must reach.  The
-    residual cannot fall below its rounding floor, about
-    eps max(a h) / step^2 with a = h^(1-p) e^(-h^2/2) / 2pi: 1-2e-11 for the
-    cos densities at N = 8192, four times that at twice the resolution.  The
-    default 1e-11 is reachable up to N = 4096; when Newton stalls at the
-    floor, solve_homotopy raises RoundingFloorError naming a tolerance that
-    is reachable.  r_star overrides the radius of the constant start; a
-    value failing the linearization guard or off the branch is re-chosen.
-    """
-
-    newton_tol: float = 1e-11
-    r_star: float | None = None
-
-    def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.r_star is not None and not self.r_star > 0.0:
-            raise ValueError("r_star override must be positive")
-
-
-@dataclass(frozen=True)
 class HomotopyStep:
     """One accepted continuation step with its certification data."""
 
@@ -133,7 +109,7 @@ def constant_branch_start(c0: float, p: float) -> float:
     """
     if c0 <= 0.0 or not math.isfinite(c0):
         raise ValueError("c0 must be positive and finite")
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError("p must be positive")
     if p < 2.0:
         lo = math.sqrt(2.0 - p)
@@ -353,7 +329,8 @@ def _choose_constant_start(p, resolution, r_star, flags):
     raise SolverStallError("no admissible constant start found in 64 attempts")
 
 
-def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveReport:
+def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
+                   r_star: float | None = None) -> SolveReport:
     """Track the constant solution to a solution of density = f.
 
     f is sampled on N uniform angles, N = len(f) even and at least 64, and
@@ -361,10 +338,18 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
     threshold check runs before any continuation step.  The returned report
     carries the solution field, the max-norm equation residual, the volume
     margin above 1/2, and the certified continuation trace.
+
+    newton_tol is the max-norm residual each Newton solve must reach.  The
+    default 1e-11 lies above the rounding floor (module docstring) up to
+    N = 4096, and a stall at the floor raises RoundingFloorError naming a
+    reachable tolerance.  r_star overrides the radius of the constant start;
+    a value failing the linearization guard or off the branch is re-chosen.
     """
+    if not newton_tol > 0.0:
+        raise ValueError("newton_tol must be positive")
+    if r_star is not None and not r_star > 0.0:
+        raise ValueError("r_star override must be positive")
     f = np.asarray(f, dtype=float)
-    if opts is None:
-        opts = HomotopyOptions()
     if f.ndim != 1:
         raise ValueError("f must be sampled on a one-dimensional angle grid")
     n = len(f)
@@ -389,7 +374,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
             f"threshold {bound:.6g} for p = {p:g}"
         )
 
-    r0 = _choose_constant_start(p, n, opts.r_star, flags)
+    r0 = _choose_constant_start(p, n, r_star, flags)
     c0 = constant_field_density(r0, p)
     field = SupportField(n, np.full(n, r0))
     steps = [
@@ -409,7 +394,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
         t_next = min(1.0, t + dt)
         f_target = (1.0 - t_next) * c0 + t_next * f
         try:
-            new_field, iters, norm = _newton_solve(field, f_target, p, opts.newton_tol)
+            new_field, iters, norm = _newton_solve(field, f_target, p, newton_tol)
         except RoundingFloorError as exc:
             # the floor depends only on h and N: a smaller t-step cannot lower it
             reachable = _round_up(max(_REACHABLE_FLOORS * exc.floor, exc.residual))
@@ -417,7 +402,7 @@ def solve_homotopy(f, p: float, opts: HomotopyOptions | None = None) -> SolveRep
                 f"Newton stalled at the rounding floor of the residual "
                 f"(N = {n}, p = {p:g}, reached t = {t:.6g}): "
                 f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
-                f"requested newton_tol = {opts.newton_tol:g}; tolerances from about "
+                f"requested newton_tol = {newton_tol:g}; tolerances from about "
                 f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
                 exc.residual, exc.floor, trace=list(steps),
             ) from None

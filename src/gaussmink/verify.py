@@ -42,13 +42,14 @@ from .geometry import (
     disc_polygon,
     support_profile,
     wulff_shape,
+    _LP_REFINE,
+    _support_values,
 )
 
 UNIFORM_SLACK = 1e-6
 # variational-check forward-difference steps t_j = _T_FIRST 2^-j: the first
 # _T_ALWAYS always, then more while fewer than two keep every facet
 _T_FIRST, _T_ALWAYS, _T_COUNT = 1e-3, 3, 7
-_LP_REFINE = 256  # extra uniform normals sampling an L_p (p != 1) combination
 _MEASURE_TOL, _BODY_TOL = 1e-8, 1e-6  # uniqueness: equal measures, equal bodies
 
 
@@ -100,8 +101,8 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
         raise ValueError("f must be sampled on the body's edge normals")
     if np.any(f <= 0.0):
         raise ValueError("f must be positive")
-    if p == 0.0:
-        raise ValueError("p must be nonzero")
+    if p == 0.0 or not math.isfinite(p):
+        raise ValueError("p must be finite and nonzero")
 
     masses = lp_gauss_surface_polygon(body, p)
     measure_side = float(f**p @ masses) / p
@@ -176,19 +177,18 @@ def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
 
     M = (1-lam) K +_p lam L is the exact Minkowski sum for p = 1 and, for
     p > 1, the L_p combination's Wulff shape on a refined normal grid (the
-    polygon encloses the true body, so only the outer O(refine^-2)
+    polygon encloses the true body, so only the outer (2pi/_LP_REFINE)^2
     allowance is added).
     """
     if p < 1.0:
         raise ValueError("the multiplicative inequality is stated for p >= 1")
     gK = gauss_volume_exact(K)
     gL = gauss_volume_exact(L)
-    refine = _LP_REFINE if p != 1.0 else 0
     # the refinement allowance only applies when an L_p Wulff body is sampled
-    tol = UNIFORM_SLACK + ((2.0 * math.pi / refine) ** 2 if refine else 0.0)
+    tol = UNIFORM_SLACK + ((2.0 * math.pi / _LP_REFINE) ** 2 if p != 1.0 else 0.0)
     worst, worst_lam = -math.inf, None
     for lam in lambdas:
-        M = combine_bodies(K, L, 1.0 - lam, lam, p, refine=refine)
+        M = combine_bodies(K, L, 1.0 - lam, lam, p)
         violation = gK ** (1.0 - lam) * gL**lam - gauss_volume_exact(M)
         if violation > worst:
             worst, worst_lam = violation, lam
@@ -225,13 +225,10 @@ def check_mixed_measure_inequality(K: SupportPolygon, L: SupportPolygon,
     return _result("mixed-measure", violation, witness, UNIFORM_SLACK)
 
 
-def _reflected(body: SupportPolygon) -> SupportPolygon:
-    return wulff_shape(-body.normals, body.support)
-
-
-def is_origin_symmetric(body: SupportPolygon, tol: float = 1e-9) -> bool:
-    scale = float(np.max(body.support))
-    return body_hausdorff_distance(body, _reflected(body)) <= tol * scale
+def is_origin_symmetric(body: SupportPolygon) -> bool:
+    """h(-nu_i) = h(nu_i) to 1e-9 max h: then K lies in -K, of equal area, so K = -K."""
+    gap = np.max(np.abs(_support_values(body, -body.normals) - body.support))
+    return bool(gap <= 1e-9 * np.max(body.support))
 
 
 def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:

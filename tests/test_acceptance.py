@@ -23,13 +23,13 @@ from gaussmink.gaussian import (gauss_constants, gauss_volume,
                                 lp_surface_measure, smooth_lp_density)
 from gaussmink.geometry import body_hausdorff_distance, disc_polygon
 from gaussmink.serialize import dumps_json, measure_to_dict
-from gaussmink.smooth import HomotopyOptions, constant_branch_start, solve_homotopy
+from gaussmink.smooth import constant_branch_start, solve_homotopy
 from gaussmink.verify import check_variational_formula, run_suite
 
 
 def half_volume_polygon(rng, max_edges: int = 9):
     from gaussmink.gaussian import scale_to_gauss_volume
-    return scale_to_gauss_volume(random_polygon(rng, 4, max_edges))
+    return scale_to_gauss_volume(random_polygon(rng, max_edges))
 
 
 def test_closed_form_constants():
@@ -52,7 +52,7 @@ def test_volume_engine_against_closed_form_and_monte_carlo():
         assert abs(gauss_volume(disc_polygon(r, 1024), 1024) - exact) <= 1e-8
     rng = np.random.default_rng(20)
     for i in range(20):
-        body = random_polygon(rng, 4, 12)
+        body = random_polygon(rng, 12)
         quad = gauss_volume_exact(body)
         mc, stderr = gauss_volume_mc(body, 1_000_000, seed=i)
         assert abs(quad - mc) <= 3.0 * stderr
@@ -63,7 +63,7 @@ def test_first_variation_matches_measure_integral():
     start = time.monotonic()
     rng = np.random.default_rng(33)
     for i in range(10):
-        body = random_polygon(rng, 4, 10)
+        body = random_polygon(rng, 10)
         f = rng.uniform(0.5, 1.5, body.num_edges)
         p = (1.0, 1.5, 2.0)[i % 3]
         result = check_variational_formula(body, f, p)
@@ -117,7 +117,7 @@ def test_two_homotopy_starts_reach_the_same_body():
                  (cos_density(256, 0.030, 0.2, 2), 2.0),
                  (cos_density(256, 0.040, 0.15, 4), 1.5)]
     for f, p in densities:
-        runs = [solve_homotopy(f, p, HomotopyOptions(r_star=r))
+        runs = [solve_homotopy(f, p, r_star=r)
                 for r in (1.5, 2.6)]
         gap = np.max(np.abs(runs[0].body.h - runs[1].body.h))
         assert gap <= 1e-6
@@ -145,9 +145,8 @@ def test_error_paths_refuse_with_diagnosis(tmp_path, capsys, caplog):
         solve_homotopy(np.full(256, 0.08), 1.0)
 
     f = cos_density(256, 0.045, 0.2, 2)
-    opts = HomotopyOptions(r_star=1.0)  # (2-p) - r0^2 = 0
     with caplog.at_level(logging.INFO):
-        report = solve_homotopy(f, 1.0, opts)
+        report = solve_homotopy(f, 1.0, r_star=1.0)  # (2-p) - r0^2 = 0
     rechosen = [fl for fl in report.flags if "re-chosen" in fl]
     assert len(rechosen) == 1 and "r* = 1 " in rechosen[0]
     assert any("re-chosen" in record.message for record in caplog.records)

@@ -232,7 +232,7 @@ class TestScaleToGaussVolume:
     @settings(max_examples=60, deadline=None)
     @example(seed=125, max_edges=4, log_squeeze=-3.0)
     def test_hits_target_and_matches_rebuilt_root(self, seed, max_edges, log_squeeze):
-        body = squeezed(random_polygon(np.random.default_rng(seed), 4, max_edges),
+        body = squeezed(random_polygon(np.random.default_rng(seed), max_edges),
                         10.0**log_squeeze)
         K = scale_to_gauss_volume(body, 0.5)
         assert abs(gauss_volume_exact(K) - 0.5) <= 1e-15

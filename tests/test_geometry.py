@@ -283,6 +283,14 @@ class TestSupportPolygonValidation:
         with pytest.raises(ValueError, match="at least 3"):
             SupportPolygon(sq.normals[:2], sq.support[:2])
 
+    def test_caller_arrays_stay_writable(self):
+        # each constructor freezes its own copy, not the caller's array
+        normals, h, masses = box_polygon(1.0).normals, np.ones(4), np.full(4, 0.1)
+        body, fld = SupportPolygon(normals, h), SupportField(4, h)
+        mu = DiscreteMeasure(2, normals, masses)
+        h[0], masses[0] = 2.0, 0.2
+        assert body.support[0] == fld.h[0] == 1.0 and mu.masses[0] == 0.1
+
     def test_normals_in_a_halfplane_rejected(self):
         theta = np.array([0.0, 0.5, 1.0])
         with pytest.raises(UnboundedBodyError):

@@ -16,7 +16,6 @@ from gaussmink.errors import (
 from gaussmink.gaussian import constant_field_density, smooth_lp_density
 from gaussmink.geometry import SupportField, body_hausdorff_distance, field_to_polygon
 from gaussmink.smooth import (
-    HomotopyOptions,
     HomotopyStep,
     _jacobian_bands,
     _rounding_floor,
@@ -77,6 +76,11 @@ class TestConstantBranchStart:
             constant_branch_start(-0.1, 1.0)
         with pytest.raises(ValueError):
             constant_branch_start(0.05, 0.0)
+
+    def test_nan_exponent_refused(self):
+        # every comparison with NaN is false, so `p <= 0` let it on to brentq
+        with pytest.raises(ValueError, match="p must be positive"):
+            constant_branch_start(0.05, math.nan)
 
 
 class TestLinearizedGuard:
@@ -219,10 +223,11 @@ class TestNewtonStep:
 
 class TestOptionsAndTrace:
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            HomotopyOptions(newton_tol=0.0)
-        with pytest.raises(ValueError):
-            HomotopyOptions(r_star=-1.0)
+        f = np.full(64, 0.045)
+        with pytest.raises(ValueError, match="newton_tol must be positive"):
+            solve_homotopy(f, 1.0, newton_tol=0.0)
+        with pytest.raises(ValueError, match="r_star override must be positive"):
+            solve_homotopy(f, 1.0, r_star=-1.0)
 
     def test_step_certification(self):
         with pytest.raises(ValueError):
@@ -233,13 +238,13 @@ class TestOptionsAndTrace:
     def test_nan_tolerance_refused(self):
         # every comparison with NaN is false, so `newton_tol <= 0` let it through
         with pytest.raises(ValueError, match="newton_tol must be positive"):
-            HomotopyOptions(newton_tol=math.nan)
+            solve_homotopy(np.full(64, 0.045), 1.0, newton_tol=math.nan)
 
 
 class TestSolveHomotopy:
     def test_constant_target_needs_no_newton_step(self):
         level = constant_field_density(2.0, 1.0)
-        rep = solve_homotopy(np.full(512, level), 1.0, HomotopyOptions(r_star=2.0))
+        rep = solve_homotopy(np.full(512, level), 1.0, r_star=2.0)
         assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert rep.iterations == 0
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-14)
@@ -321,12 +326,11 @@ class TestSolveHomotopy:
         # level chosen so the total 2 pi * 0.08 = 0.503 exceeds the p = 1
         # threshold 0.3641; the collision override must never be consulted
         with pytest.raises(MassBoundError):
-            solve_homotopy(np.full(512, 0.08), 1.0,
-                           HomotopyOptions(r_star=1.0))
+            solve_homotopy(np.full(512, 0.08), 1.0, r_star=1.0)
 
     def test_collision_override_triggers_logged_rechoice(self):
         f = cos_density(0.045, 0.1, 2, 512)
-        rep = solve_homotopy(f, 1.0, HomotopyOptions(r_star=1.0))
+        rep = solve_homotopy(f, 1.0, r_star=1.0)
         notes = [fl for fl in rep.flags if "re-chosen" in fl]
         assert len(notes) == 1
         assert "r* = 1 " in notes[0]
@@ -334,8 +338,8 @@ class TestSolveHomotopy:
 
     def test_distinct_starts_agree(self):
         f = cos_density(0.045, 0.1, 2, 512)
-        rep1 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=1.5))
-        rep2 = solve_homotopy(f, 1.0, HomotopyOptions(r_star=2.6))
+        rep1 = solve_homotopy(f, 1.0, r_star=1.5)
+        rep2 = solve_homotopy(f, 1.0, r_star=2.6)
         d = body_hausdorff_distance(field_to_polygon(rep1.body),
                                     field_to_polygon(rep2.body))
         assert d <= 1e-6
@@ -421,13 +425,13 @@ class TestRoundingFloor:
         assert len(failed_steps) <= 1  # 12, 12 and 18 with t-step halving
         # the tolerance the message suggests is reachable
         tol = float(message.rsplit("--tol >= ", 1)[1])
-        rep = solve_homotopy(f, p, HomotopyOptions(newton_tol=tol))
+        rep = solve_homotopy(f, p, newton_tol=tol)
         assert rep.stationarity_residual <= tol
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_tolerance_above_floor_solves(self, p, failed_steps):
         f = cos_density(0.045, 0.2, 2, self.N)
-        rep = solve_homotopy(f, p, HomotopyOptions(newton_tol=1e-10))
+        rep = solve_homotopy(f, p, newton_tol=1e-10)
         assert rep.stationarity_residual <= 1e-10
         assert not failed_steps
 

@@ -220,6 +220,11 @@ class TestVariationalFormula:
         with pytest.raises(ValueError):
             check_variational_formula(body, np.ones(4), 0.0)
 
+    def test_nan_exponent_refused(self):
+        # NaN supports made every halfplane vanish: "needs at least 3 edges"
+        with pytest.raises(ValueError, match="p must be finite and nonzero"):
+            check_variational_formula(box_polygon(1.0), np.ones(4), math.nan)
+
 
 class TestEhrhard:
     def test_equality_for_identical_bodies(self):
@@ -312,6 +317,14 @@ class TestMixedMeasure:
             r = check_mixed_measure_inequality(regular_body(m), L, 1.0)
             margins.append(-r.worst_violation)
         assert 50.0 <= margins[0] / margins[1] <= 200.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_minimality_on_random_pairs(self, p):
+        # the paper's L_p minimality for p > 1, which the suite checks at p = 1 only
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            r = check_mixed_measure_inequality(random_polygon(rng), random_polygon(rng), p)
+            assert r.passed, r.witness
 
 
 class TestIsoperimetric:
