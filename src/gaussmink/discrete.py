@@ -27,12 +27,14 @@ target, or, for p < 1, where phi is not convex, from the solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
-no minimizer exists).  When the measure is even with total mass below the
-threshold sqrt(2/pi) r^-p a e^{-a^2/2}, the unnormalized problem
+no minimizer exists).  For p >= 1, when the measure is even with total mass
+below the threshold sqrt(2/pi) r^-p a e^{-a^2/2}, the unnormalized problem
 S_p(K) = mu has a unique solution on the gamma > 1/2 branch; outside that
 regime the solve still runs but the report carries the
 "no-uniqueness-certificate" flag, since the theory then guarantees only
-some lambda > 0, not the lambda = p normalization.
+some lambda > 0, not the lambda = p normalization.  Below p = 1 phi is not
+convex and the paper's uniqueness argument does not apply: the report
+carries the "uncertified" flag, as a smooth solve does.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
             f"measure is concentrated on a closed hemisphere (margin {margin:.3g}): "
             "translates of a halfplane-like body lower the objective without "
             "bound, so no minimizer exists")
-    flags: list[str] = []
+    flags = ["uncertified"] if p < 1.0 else []  # phi is not convex below p = 1
     constants = gauss_constants(2, p)
     # Uniqueness of the unnormalized problem S_p(K) = mu on the gamma > 1/2
     # branch is certified only for even measures below the mass threshold;

@@ -48,10 +48,9 @@ class SolverStallError(RuntimeError):
 class RoundingFloorError(SolverStallError):
     """Newton stalled with its residual at the rounding floor of the grid.
 
-    The floor depends only on the iterate and the resolution, so no smaller
-    continuation step lowers it; only a looser tolerance (or a coarser grid)
-    lets the solve finish.  Carries the achieved residual and the floor
-    estimate.
+    The floor depends only on the iterate and the resolution, so only a
+    looser tolerance (or a coarser grid) lets the solve finish.  Carries the
+    achieved residual and the floor estimate.
     """
 
     def __init__(self, message: str, residual: float, floor: float, trace=None):

@@ -272,7 +272,7 @@ class GaussConstants:
     a_half: float
 
     def __post_init__(self):
-        if self.r_half <= 0.0 or self.a_half <= 0.0 or self.mass_bound <= 0.0:
+        if not (self.r_half > 0.0 and self.a_half > 0.0 and self.mass_bound > 0.0):
             raise ValueError("constants must be positive")
 
     @property

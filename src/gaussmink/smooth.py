@@ -9,16 +9,17 @@ measure,
 to a prescribed positive density f, with D the periodic central difference.
 A homotopy f_t = (1-t) c0 + t f starts from the constant solution h = r0 on
 the branch whose ball has Gaussian volume above 1/2 and tracks it to t = 1
-with damped Newton steps, halving the continuation step when a Newton solve
-fails.  The linearization at the constant start is the periodic operator
-D^2 + (2-p) - r0^2 up to a positive prefactor; a start is rejected when its
-spectrum (2-p) - r0^2 - k^2 comes within 1e-8 of zero.
+with damped Newton steps along the fixed ladder T_LADDER; a Newton solve
+that fails on a rung ends the solve.  The linearization at the constant
+start is the periodic operator D^2 + (2-p) - r0^2 up to a positive
+prefactor; a start is rejected when its spectrum (2-p) - r0^2 - k^2 comes
+within 1e-8 of zero.
 
 The residual has a rounding floor of about eps max(a h) / step^2, with
 a = h^(1-p) e^(-h^2/2) / 2pi the density's prefactor; it grows like N^2.  A
-Newton stall at that floor raises RoundingFloorError at once, naming the
-floor and a reachable tolerance, instead of halving the continuation step:
-a smaller step cannot lower a floor that depends only on h and N.
+Newton stall at that floor raises RoundingFloorError, naming the floor and
+a reachable tolerance; any other stall raises SolverStallError naming the
+rung.
 """
 
 from __future__ import annotations
@@ -59,19 +60,18 @@ R_STAR_CEILING = 3.0
 _GUARD_TOL = 1e-8
 
 # A Newton stall with residual within this factor of the rounding-floor
-# estimate is put down to rounding.  Every stall measured on the cos
-# densities at N = 8192 sat at 0.93-1.87 floors; the factor leaves room for
-# the estimate's unknown stencil constant while a stall an order of
-# magnitude above the floor still gets the smaller t-steps that may cure it.
+# estimate is put down to rounding; the factor only picks the error and its
+# message.  Every stall measured on the cos densities at N = 8192 sat at
+# 0.93-1.87 floors; the factor leaves room for the estimate's unknown
+# stencil constant.
 FLOOR_FACTOR = 16.0
 # Stalls sit at up to about twice the floor estimate, and along a path the
 # floor can double from its value at the stall (p = 2, N = 8192 to 2^18), so
 # the suggested tolerance is four floors, or the stalled residual if larger.
 _REACHABLE_FLOORS = 4.0
 
-# continuation and damping limits
-T_STEP_INITIAL = 0.25   # first and largest continuation step
-T_STEP_MIN = 1e-4       # a Newton failure below this t-step ends the solve
+# continuation rungs and damping limits
+T_LADDER = (0.25, 0.5, 0.75, 1.0)  # homotopy parameters t solved in turn
 NEWTON_MAX_ITERS = 30   # Newton steps per continuation step
 MAX_HALVINGS = 20       # damping halvings per Newton step
 
@@ -228,8 +228,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
     until the residual max-norm decreases and the candidate stays a valid
     convex field.  When no damping level helps, raises RoundingFloorError if
     the residual is within FLOOR_FACTOR of _rounding_floor, and
-    SolverStallError otherwise; the continuation driver reacts to the latter
-    by shrinking its t-step.
+    SolverStallError otherwise.
     """
     base = float(np.max(np.abs(defect)))
     sub, diag, sup = _jacobian_bands(field, p)
@@ -256,10 +255,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
             f"damped Newton step stalled at residual {base:.3g}, within "
             f"{FLOOR_FACTOR:g} times the rounding floor {floor:.3g} of the "
             f"N = {field.resolution} grid", base, floor)
-    raise SolverStallError(
-        "damped Newton step failed to reduce the residual; "
-        "try a smaller continuation step"
-    )
+    raise SolverStallError("damped Newton step failed to reduce the residual")
 
 
 def _rounding_floor(field: SupportField, p: float) -> float:
@@ -337,12 +333,14 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     must be positive with total mass below the solvability threshold; the
     threshold check runs before any continuation step.  The returned report
     carries the solution field, the max-norm equation residual, the volume
-    margin above 1/2, and the certified continuation trace.
+    margin above 1/2, and the certified continuation trace: t = 0, then each
+    rung of T_LADDER.
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     default 1e-11 lies above the rounding floor (module docstring) up to
     N = 4096, and a stall at the floor raises RoundingFloorError naming a
-    reachable tolerance.  r_star overrides the radius of the constant start;
+    reachable tolerance; any other Newton failure raises SolverStallError
+    naming the rung.  r_star overrides the radius of the constant start;
     a value failing the linearization guard or off the branch is re-chosen.
     """
     if not newton_tol > 0.0:
@@ -387,44 +385,34 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         )
     ]
 
-    t = 0.0
-    dt = T_STEP_INITIAL
     total_newton = 0
-    while t < 1.0:
-        t_next = min(1.0, t + dt)
-        f_target = (1.0 - t_next) * c0 + t_next * f
+    for t in T_LADDER:
+        f_target = (1.0 - t) * c0 + t * f
         try:
             new_field, iters, norm = _newton_solve(field, f_target, p, newton_tol)
         except RoundingFloorError as exc:
-            # the floor depends only on h and N: a smaller t-step cannot lower it
             reachable = _round_up(max(_REACHABLE_FLOORS * exc.floor, exc.residual))
             raise RoundingFloorError(
                 f"Newton stalled at the rounding floor of the residual "
-                f"(N = {n}, p = {p:g}, reached t = {t:.6g}): "
+                f"(N = {n}, p = {p:g}, reached t = {steps[-1].t:.6g}): "
                 f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
                 f"requested newton_tol = {newton_tol:g}; tolerances from about "
                 f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
                 exc.residual, exc.floor, trace=list(steps),
             ) from None
-        except SolverStallError:
-            dt *= 0.5
-            if dt < T_STEP_MIN:
-                raise SolverStallError(
-                    f"continuation step fell below t_step_min = "
-                    f"{T_STEP_MIN:g} at t = {t:.6g}",
-                    trace=list(steps),
-                ) from None
-            continue
+        except SolverStallError as exc:
+            raise SolverStallError(f"{exc} on the continuation rung t = {t:g}",
+                                   trace=list(steps)) from None
         gamma = field_gauss_volume(new_field)
         if gamma <= 0.5:
             raise SolverStallError(
-                f"path lost the volume certificate at t = {t_next:.6g}: "
+                f"path lost the volume certificate at t = {t:.6g}: "
                 f"gauss volume {gamma:.6g} <= 1/2",
                 trace=list(steps),
             )
         steps.append(
             HomotopyStep(
-                t=t_next,
+                t=t,
                 newton_iters=iters,
                 residual=norm,
                 min_convexity=float(np.min(new_field.curvature)),
@@ -433,9 +421,6 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         )
         field = new_field
         total_newton += iters
-        t = t_next
-        if iters <= 4:
-            dt = min(2.0 * dt, T_STEP_INITIAL)
 
     density = smooth_lp_density(field, p)
     return SolveReport(

@@ -180,8 +180,8 @@ def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
     polygon encloses the true body, so only the outer (2pi/_LP_REFINE)^2
     allowance is added).
     """
-    if p < 1.0:
-        raise ValueError("the multiplicative inequality is stated for p >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("the multiplicative inequality is stated for finite p >= 1")
     gK = gauss_volume_exact(K)
     gL = gauss_volume_exact(L)
     # the refinement allowance only applies when an L_p Wulff body is sampled
@@ -208,6 +208,8 @@ def check_mixed_measure_inequality(K: SupportPolygon, L: SupportPolygon,
     After rescaling both bodies to gamma = 1/2, integrating h_L^p against
     the L_p measure of K must dominate integrating h_K^p against it.
     """
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     K = scale_to_gauss_volume(K, 0.5)
     L = scale_to_gauss_volume(L, 0.5)
     masses = lp_gauss_surface_polygon(K, p)
@@ -237,6 +239,8 @@ def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:
     An origin-symmetric K rescaled to gamma = 1/2 must carry total L_p
     Gaussian surface measure at least the solvability threshold.
     """
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     if not is_origin_symmetric(K):
         raise ValueError("the isoperimetric bound requires an origin-symmetric body")
     K = scale_to_gauss_volume(K, 0.5)
@@ -271,8 +275,8 @@ def check_uniqueness(K: SupportPolygon, L: SupportPolygon,
     ``_BODY_TOL``.  Bodies below the half-volume hypothesis are skipped with
     a flag: that regime is genuinely non-unique, so no claim is checked.
     """
-    if p < 1.0:
-        raise ValueError("uniqueness is certified for p >= 1 only")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("uniqueness is certified for finite p >= 1 only")
     gK = gauss_volume_exact(K)
     gL = gauss_volume_exact(L)
     if min(gK, gL) < 0.5 - 1e-9:

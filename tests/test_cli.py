@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussmink import cli, serialize
+from gaussmink import cli, serialize, smooth
 from gaussmink.cli import RunConfig, main
 from gaussmink.families import FAMILY_NAMES, cos_density, square_surface_measure
 from gaussmink.gaussian import (gauss_constants, gauss_volume_exact,
@@ -483,6 +483,16 @@ class TestSolveSmoothCommand:
         assert error.startswith("error: Newton stalled at the rounding floor")
         assert "floor estimate" in error and "pass --tol >= " in error
         assert "t_step_min" not in error and "Traceback" not in captured.err
+        assert summary == ("trace: 0 accepted continuation steps, "
+                           "last accepted t = 0")
+
+    def test_newton_failure_names_its_rung(self, monkeypatch, capsys):
+        monkeypatch.setattr(smooth, "NEWTON_MAX_ITERS", 2)
+        assert main(["solve-smooth", "--family", "cos"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error, summary = captured.err.splitlines()
+        assert error.startswith("error: ") and "t = 0.25" in error
         assert summary == ("trace: 0 accepted continuation steps, "
                            "last accepted t = 0")
 

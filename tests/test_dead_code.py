@@ -7,6 +7,9 @@ reference is a name read, an imported name, or an attribute of a package
 module (`serialize.dumps_json`); a field or attribute that shares a
 definition's name is not a use.
 
+Every module-level name assigned in the package is read somewhere in src/,
+outside __init__.py: a constant nothing reads is a stale setting.
+
 Every defaulted parameter or dataclass field is given a value other than
 its default by some call in src/, tests/ or bench/.  One that never is, is
 a knob nobody turns: make it a constant.
@@ -68,6 +71,27 @@ def test_no_unreferenced_definitions():
 
 def test_allow_list_is_current():
     assert ALLOWED.keys() <= set(unreferenced_definitions())
+
+
+def unread_module_names() -> list[str]:
+    """Module-level names assigned in src/gaussmink that src/ never reads."""
+    assigned, refs = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(path.stem, sub.id) for target in targets
+                             for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+        refs.update(_referenced_names(tree))
+    return [f"{module}.{name}" for module, name in assigned if name not in refs]
+
+
+def test_every_module_name_is_read():
+    unread = unread_module_names()
+    assert not unread, f"assigned at module level but never read in src/: {unread}"
 
 
 def _defaulted(tree: ast.AST):

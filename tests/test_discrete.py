@@ -237,6 +237,8 @@ class TestSolveConstrained:
         assert rep.stationarity_residual <= 1e-8
         assert rep.multiplier > 0.0
         assert rep.flags == ()  # even, mass below threshold: certificate holds
+        for p in (0.3, 0.5, 0.9):  # phi is not convex below p = 1: no certificate
+            assert solve_constrained(VariationalProblem(mu, p)).flags == ("uncertified",)
 
     def test_square_round_trip(self):
         K = half_volume_body(box_polygon(1.0).normals, box_polygon(1.0).support)

@@ -273,28 +273,23 @@ class TestSolveHomotopy:
 
     def test_newton_stops_at_its_iteration_limit(self, monkeypatch):
         # a Newton solve that misses the tolerance makes exactly
-        # NEWTON_MAX_ITERS steps: none is taken whose result goes unchecked
-        steps_per_solve, failed = [], []
-        step, solve = smooth.newton_step, smooth._newton_solve
+        # NEWTON_MAX_ITERS steps: none is taken whose result goes unchecked;
+        # the failure ends the solve on the rung t = 0.25
+        steps = []
+        step = smooth.newton_step
 
         def counting_step(*args):
-            steps_per_solve[-1] += 1
+            steps.append(args)
             return step(*args)
-
-        def counting_solve(*args):
-            steps_per_solve.append(0)
-            try:
-                return solve(*args)
-            except SolverStallError:
-                failed.append(steps_per_solve[-1])
-                raise
 
         monkeypatch.setattr(smooth, "NEWTON_MAX_ITERS", 2)
         monkeypatch.setattr(smooth, "newton_step", counting_step)
-        monkeypatch.setattr(smooth, "_newton_solve", counting_solve)
-        rep = solve_homotopy(cos_density(0.045, 0.2, 2, 256), 1.0)
-        assert rep.stationarity_residual <= 1e-9
-        assert failed and set(failed) == {2}
+        with pytest.raises(SolverStallError) as info:
+            solve_homotopy(cos_density(0.045, 0.2, 2, 256), 1.0)
+        assert type(info.value) is SolverStallError  # not the rounding floor
+        assert len(steps) == 2
+        assert "t = 0.25" in str(info.value)
+        assert [s.t for s in info.value.trace] == [0.0]
 
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_cos_perturbation(self, p, level):
@@ -307,8 +302,7 @@ class TestSolveHomotopy:
         assert np.max(np.abs(rep.body.h - np.roll(rep.body.h, n // 2))) <= 1e-10
         assert rep.volume_residual > 0.0  # margin above half volume
         assert rep.flags == ()
-        t = np.array([s.t for s in rep.homotopy_trace])
-        assert np.all(np.diff(t) > 0.0) and t[-1] == 1.0
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_grid_refinement(self, p, level):

@@ -426,6 +426,25 @@ class TestUniqueness:
             check_uniqueness(K, K, p=0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+@pytest.mark.parametrize("call,message", [
+    (lambda p: check_log_concavity(box_polygon(1.0), disc_polygon(1.0, 64), p=p),
+     "finite p >= 1"),
+    (lambda p: check_uniqueness(box_polygon(1.0), box_polygon(1.0), p=p),
+     "finite p >= 1"),
+    (lambda p: check_mixed_measure_inequality(box_polygon(1.0), disc_polygon(1.0, 64),
+                                              p=p), "p must be finite"),
+    (lambda p: check_isoperimetric(box_polygon(1.0), p=p), "p must be finite"),
+    (lambda p: gauss_constants(2, p), "constants must be positive"),
+], ids=["log-concavity", "uniqueness", "mixed-measure", "isoperimetric",
+        "gauss-constants"])
+def test_nonfinite_exponent_refused(call, message, p):
+    # refused on entry: NaN or inf used to surface as an unrelated error
+    # ("needs at least 3 edges") or as a failed row with violation nan
+    with pytest.raises(ValueError, match=message):
+        call(p)
+
+
 class TestMeasureGap:
     def test_window_is_arccos_width(self):
         one = DiscreteMeasure(2, [[1.0, 0.0]], [1.0])
