@@ -81,8 +81,8 @@ class VariationalProblem:
     volume_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise ValueError("exponent p must be positive")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"exponent p must be positive and finite, got p = {self.p:g}")
         if not 0.0 < self.target_volume < 1.0:
             raise ValueError("target volume must lie in (0, 1)")
         if not (self.stationarity_tol > 0.0 and self.volume_tol > 0.0):

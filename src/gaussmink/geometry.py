@@ -65,7 +65,8 @@ class SupportPolygon:
     normals[i] is the outward unit normal of edge i, sorted by angle starting
     from the smallest; support[i] > 0 is the distance of the edge line from
     the origin.  Construct through :func:`wulff_shape`, which removes
-    redundant halfplanes.  Construction derives the edge frame once, read-only
+    redundant halfplanes; one left in (an edge with t1 <= t0) raises
+    ValueError.  Construction derives the edge frame once, read-only
     like the inputs.  With c, s = turn_cos[i], turn_sin[i] = nu_i . nu_{i+1},
     nu_i x nu_{i+1} and tau_i the normal turned a quarter left,
 
@@ -108,6 +109,9 @@ class SupportPolygon:
         bend = np.where(near, s, 1.0 - c) / np.where(near, 1.0 + c, s)
         rise = (h_next - support) / s
         t1, t0 = rise + support * bend, _rotate(rise - h_next * bend, -1)
+        if np.any(t1 <= t0):
+            raise ValueError("redundant halfplane (edge of nonpositive length); "
+                             "reduce the halfplanes with wulff_shape")
         vertices = np.column_stack([support * x - t1 * y, support * y + t1 * x])
         for name, arr in (("normals", normals), ("support", support), ("turn_cos", c),
                           ("turn_sin", s), ("t0", t0), ("t1", t1), ("vertices", vertices)):

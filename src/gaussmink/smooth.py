@@ -12,8 +12,9 @@ the branch whose ball has Gaussian volume above 1/2 and tracks it to t = 1
 with damped Newton steps along the fixed ladder T_LADDER; a Newton solve
 that fails on a rung ends the solve.  The linearization at the constant
 start is the periodic operator D^2 + (2-p) - r0^2 up to a positive
-prefactor; a start is rejected when its spectrum (2-p) - r0^2 - k^2 comes
-within 1e-8 of zero.
+prefactor, with spectrum (2-p) - r0^2 - k^2.  Every start on the branch has
+r0^2 > 2 - p (r0 exceeds sqrt(2-p) for p < 2 and the half-volume radius for
+p >= 2), so every eigenvalue is negative and no start is singular.
 
 The residual has a rounding floor of about eps max(a h) / step^2, with
 a = h^(1-p) e^(-h^2/2) / 2pi the density's prefactor; it grows like N^2.  A
@@ -24,7 +25,6 @@ rung.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -49,12 +49,8 @@ from .gaussian import (
 from .geometry import TWO_PI, SupportField
 from .report import SolveReport
 
-logger = logging.getLogger(__name__)
-
-GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
-
-# upper end of the radius window scanned for constant starts; Gaussian decay
-# makes larger balls useless as homotopy anchors
+# upper end of the radius window of constant starts; Gaussian decay makes
+# larger balls useless as homotopy anchors
 R_STAR_CEILING = 3.0
 
 _GUARD_TOL = 1e-8
@@ -109,8 +105,8 @@ def constant_branch_start(c0: float, p: float) -> float:
     """
     if c0 <= 0.0 or not math.isfinite(c0):
         raise ValueError("c0 must be positive and finite")
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got p = {p:g}")
     if p < 2.0:
         lo = math.sqrt(2.0 - p)
         if c0 >= constant_field_density(lo, p):
@@ -143,14 +139,15 @@ def constant_branch_start(c0: float, p: float) -> float:
 def linearized_guard(r0: float, p: float, resolution: int) -> bool:
     """True when the linearization at h = r0 has no near-zero eigenvalue.
 
-    The periodic operator D^2 + ((2-p) - r0^2) is singular exactly when
-    (2-p) - r0^2 = -k^2 for an integer mode k; modes up to resolution/2 are
-    representable on the grid.
+    The periodic operator D^2 + ((2-p) - r0^2) has the eigenvalues
+    (2-p) - r0^2 - k^2 and is singular exactly when (2-p) - r0^2 = k^2 for an
+    integer mode k; modes up to resolution/2 are representable on the grid.
+    No start on the volume > 1/2 branch is singular (module docstring).
     """
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     k = np.arange(resolution // 2 + 1, dtype=float)
-    return bool(np.min(np.abs((2.0 - p) - r0 * r0 + k * k)) > _GUARD_TOL)
+    return bool(np.min(np.abs((2.0 - p) - r0 * r0 - k * k)) > _GUARD_TOL)
 
 
 def residual(field: SupportField, f, p: float) -> np.ndarray:
@@ -293,38 +290,6 @@ def _newton_solve(field, f_target, p, tol):
     )
 
 
-def _choose_constant_start(p, resolution, r_star, flags):
-    """Admissible constant-start radius on the volume > 1/2 branch.
-
-    Default is the midpoint of [branch floor, R_STAR_CEILING]; a candidate
-    failing the invertibility guard or falling off the branch is replaced by
-    golden-ratio hops through the same window, each replacement logged.
-    """
-    r_half = gauss_constants(2, p).r_half
-    floor = max(r_half, math.sqrt(2.0 - p)) if p < 2.0 else r_half
-    width = R_STAR_CEILING - floor
-    if r_star is not None:
-        u = (r_star - floor) / width if floor < r_star < R_STAR_CEILING else 0.5
-    else:
-        r_star = floor + 0.5 * width
-        u = 0.5
-    for _ in range(64):
-        if not linearized_guard(r_star, p, resolution):
-            reason = "eigenvalue collision in the linearized operator"
-        elif r_star <= floor + 1e-9 or r_star > R_STAR_CEILING:
-            reason = "constant start off the certified branch"
-        else:
-            return r_star
-        u = (u + 1.0 / GOLDEN_RATIO) % 1.0
-        replacement = floor + u * width
-        message = (f"c0 re-chosen: r* = {r_star:.6g} rejected ({reason}), "
-                   f"trying r* = {replacement:.6g}")
-        logger.info(message)
-        flags.append(message)
-        r_star = replacement
-    raise SolverStallError("no admissible constant start found in 64 attempts")
-
-
 def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
                    r_star: float | None = None) -> SolveReport:
     """Track the constant solution to a solution of density = f.
@@ -340,13 +305,12 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     default 1e-11 lies above the rounding floor (module docstring) up to
     N = 4096, and a stall at the floor raises RoundingFloorError naming a
     reachable tolerance; any other Newton failure raises SolverStallError
-    naming the rung.  r_star overrides the radius of the constant start;
-    a value failing the linearization guard or off the branch is re-chosen.
+    naming the rung.  r_star overrides the radius of the constant start,
+    the midpoint of its window by default; a value outside the window
+    (branch floor + 1e-6, R_STAR_CEILING] raises ValueError.
     """
     if not newton_tol > 0.0:
         raise ValueError("newton_tol must be positive")
-    if r_star is not None and not r_star > 0.0:
-        raise ValueError("r_star override must be positive")
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise ValueError("f must be sampled on a one-dimensional angle grid")
@@ -355,8 +319,8 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         raise ValueError("resolution must be an even integer >= 64")
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("f must be positive and finite")
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got p = {p:g}")
 
     flags: list[str] = []
     if p < 1.0:
@@ -365,14 +329,22 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         flags.append("no-uniqueness-certificate")
 
     total_mass = TWO_PI * float(np.mean(f))
-    bound = gauss_constants(2, p).mass_bound
-    if total_mass >= bound:
+    constants = gauss_constants(2, p)
+    if total_mass >= constants.mass_bound:
         raise MassBoundError(
             f"total mass {total_mass:.6g} is not below the solvability "
-            f"threshold {bound:.6g} for p = {p:g}"
+            f"threshold {constants.mass_bound:.6g} for p = {p:g}"
         )
 
-    r0 = _choose_constant_start(p, n, r_star, flags)
+    # constant start: the midpoint of the window (branch floor + 1e-6, ceiling];
+    # the margin keeps off the fold r0^2 = 2 - p, near which (up to about
+    # 2e-7 above it) the first rung's Newton solve stalls
+    floor = max(constants.r_half, math.sqrt(2.0 - p)) if p < 2.0 else constants.r_half
+    r0 = floor + 0.5 * (R_STAR_CEILING - floor) if r_star is None else r_star
+    if not floor + 1e-6 < r0 <= R_STAR_CEILING:
+        raise ValueError(
+            f"r_star = {r0:g} lies outside the window of constant starts "
+            f"({floor:.6g} + 1e-6, {R_STAR_CEILING:g}] for p = {p:g}")
     c0 = constant_field_density(r0, p)
     field = SupportField(n, np.full(n, r0))
     steps = [

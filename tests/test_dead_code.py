@@ -33,6 +33,8 @@ ALLOWED = {
                                 "is tested against",
     "smooth.constant_branch_start": "closed-form constant solution the homotopy's "
                                     "constant densities are tested against",
+    "smooth.linearized_guard": "eigenvalue test of the constant start's linearization; "
+                               "bench/tracer.py resolves it by name",
 }
 
 

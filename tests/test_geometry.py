@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmink.errors import ConvexityError, UnboundedBodyError
@@ -82,12 +82,16 @@ def graham_reduce(normals, support):
 
 
 def line_offsets(body):
-    """Worst distance of a vertex from its two edge lines, in eps * max h."""
+    """Worst distance of a vertex from its two edge lines, in eps * |vertex|.
+
+    |V_i| is at least both supports of its lines, and an ulp of V_i's
+    coordinates is the rounding a vertex far out on a thin body cannot avoid.
+    """
     nu, h, v = body.normals, body.support, body.vertices
-    off = np.abs(np.concatenate([
+    off = np.abs(np.stack([
         np.einsum("ij,ij->i", v, nu) - h,
         np.einsum("ij,ij->i", v, np.roll(nu, -1, axis=0)) - np.roll(h, -1)]))
-    return off.max() / (np.finfo(float).eps * h.max())
+    return (off / (np.finfo(float).eps * np.linalg.norm(v, axis=1))).max()
 
 
 def reduction_input(seed, family):
@@ -156,6 +160,7 @@ class TestWulffShape:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "hexagon", "collinear"]))
     @settings(max_examples=300, deadline=None)
+    @example(1_595_873_196, "random")  # thin triangle: |V| = 134, max h = 2.18
     def test_reduction_matches_graham_scan(self, seed, family):
         normals, support = reduction_input(seed, family)
         try:
@@ -291,6 +296,15 @@ class TestSupportPolygonValidation:
         h[0], masses[0] = 2.0, 0.2
         assert body.support[0] == fld.h[0] == 1.0 and mu.masses[0] == 0.1
 
+    def test_redundant_halfplane_rejected(self):
+        # the edge at pi/4 would run from t0 = 3.59 back to t1 = -3.59
+        theta = np.array([0.0, 0.25, 0.5, 1.0, 1.5]) * np.pi
+        normals = np.column_stack([np.cos(theta), np.sin(theta)])
+        h = np.array([1.0, 5.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="wulff_shape"):
+            SupportPolygon(normals, h)
+        assert wulff_shape(normals, h).num_edges == 4
+
     def test_normals_in_a_halfplane_rejected(self):
         theta = np.array([0.0, 0.5, 1.0])
         with pytest.raises(UnboundedBodyError):
@@ -300,9 +314,14 @@ class TestSupportPolygonValidation:
     def test_derived_vertices_lie_on_both_lines(self, gap):
         # pairs of normals `gap` apart, and turns of nearly pi next to them
         theta = np.array([0.0, gap, 2.0, 2.0 + gap, np.pi + gap / 2, np.pi + gap])
-        body = SupportPolygon(np.column_stack([np.cos(theta), np.sin(theta)]),
-                              np.array([1.0, 1.0 + 1e-3 * gap, 3.0, 3.0, 0.5, 0.5]))
+        normals = np.column_stack([np.cos(theta), np.sin(theta)])
+        h = np.array([1.0, 1.0 + 1e-3 * gap, 1.0, 1.0, 0.5, 0.5])
+        body = SupportPolygon(normals, h)
+        assert wulff_shape(normals, h).num_edges == 6  # no halfplane is redundant
         assert line_offsets(body) <= 8.0
+        # support 3 on the pair at angle 2 leaves the edge at 2 + gap redundant
+        with pytest.raises(ValueError, match="wulff_shape"):
+            SupportPolygon(normals, np.array([1.0, 1.0 + 1e-3 * gap, 3.0, 3.0, 0.5, 0.5]))
         for name in ("normals", "support", "turn_cos", "turn_sin", "t0", "t1", "vertices"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(body, name)[0] = 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaussmink import smooth
+from gaussmink.discrete import VariationalProblem
 from gaussmink.errors import (
     MassBoundError,
     NoConstantSolutionError,
@@ -13,8 +14,10 @@ from gaussmink.errors import (
     SolverStallError,
     WrongBranchError,
 )
-from gaussmink.gaussian import constant_field_density, smooth_lp_density
-from gaussmink.geometry import SupportField, body_hausdorff_distance, field_to_polygon
+from gaussmink.families import cos_density, uniform_mgon_measure
+from gaussmink.gaussian import constant_field_density, gauss_constants, smooth_lp_density
+from gaussmink.geometry import (TWO_PI, SupportField, body_hausdorff_distance,
+                                field_to_polygon)
 from gaussmink.smooth import (
     HomotopyStep,
     _jacobian_bands,
@@ -29,16 +32,14 @@ from gaussmink.smooth import (
 
 # peak of r e^{-r^2/2} / 2pi at r = 1: e^{-1/2} / 2pi
 PEAK_DENSITY_P1 = 0.09653235263005391
+# half-volume radius sqrt(2 ln 2), the floor of the constant-start window at p = 1
+R_HALF_P1 = gauss_constants(2, 1.0).r_half
 # closed-form root for p = 2, c0 = 1/(8 pi): sqrt(2 ln 4)
 ROOT_P2_QUARTER = 1.6651092223153954
 
 
 def grid(n):
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def cos_density(level, amplitude, frequency, n):
-    return level * (1.0 + amplitude * np.cos(frequency * grid(n)))
 
 
 def harmonics_field(n=64):
@@ -85,14 +86,18 @@ class TestConstantBranchStart:
 
 class TestLinearizedGuard:
     def test_collision_cases(self):
-        assert linearized_guard(1.0, 1.0, 512) is False  # k = 0
-        assert linearized_guard(math.sqrt(2.0), 1.0, 512) is False  # k = 1
-        assert linearized_guard(3.0, 2.0, 512) is False  # integer radius, p = 2
+        # singular exactly when (2 - p) - r0^2 = k^2
+        assert linearized_guard(1.0, 1.0, 512) is False  # k = 0, the fold
+        assert linearized_guard(math.sqrt(0.5), 0.5, 512) is False  # k = 1
+        assert linearized_guard(math.sqrt(0.8), 0.2, 512) is False  # k = 1
 
     def test_clear_cases(self):
         assert linearized_guard(1.5, 1.0, 512) is True
         assert linearized_guard(2.5, 2.0, 512) is True
         assert linearized_guard(1.17741, 1.0, 512) is True
+        # starts inside the window: every eigenvalue (2 - p) - r0^2 - k^2 < 0
+        assert linearized_guard(math.sqrt(2.0), 1.0, 512) is True
+        assert linearized_guard(3.0, 2.0, 512) is True
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
@@ -108,7 +113,7 @@ class TestResidual:
     def test_constant_field_cos_target(self):
         # density of a constant field is flat, so the defect is minus the ripple
         c0 = constant_field_density(2.0, 1.0)
-        f = cos_density(c0, 0.2, 2, 128)
+        f = cos_density(128, c0, 0.2, 2)
         fld = SupportField(128, np.full(128, 2.0))
         expected = -0.2 * c0 * np.cos(2 * grid(128))
         np.testing.assert_allclose(residual(fld, f, 1.0), expected, atol=1e-16)
@@ -196,7 +201,7 @@ class TestNewtonStep:
         assert out_defect is defect
 
     def test_weak_quadratic_convergence(self):
-        f = cos_density(0.045, 0.2, 2, 64)
+        f = cos_density(64, 0.045, 0.2, 2)
         fld = SupportField(64, np.full(64, 2.0))
         defect = residual(fld, f, 1.0)
         norms = [float(np.max(np.abs(defect)))]
@@ -216,7 +221,7 @@ class TestNewtonStep:
     def test_singular_linearization_raises(self):
         # h = 1, p = 1 puts the k = 0 mode exactly in the kernel
         fld = SupportField(64, np.ones(64))
-        f = cos_density(constant_field_density(1.0, 1.0), 0.1, 2, 64)
+        f = cos_density(64, constant_field_density(1.0, 1.0), 0.1, 2)
         with pytest.raises(SolverStallError):
             newton_step(fld, f, 1.0, residual(fld, f, 1.0))
 
@@ -226,7 +231,7 @@ class TestOptionsAndTrace:
         f = np.full(64, 0.045)
         with pytest.raises(ValueError, match="newton_tol must be positive"):
             solve_homotopy(f, 1.0, newton_tol=0.0)
-        with pytest.raises(ValueError, match="r_star override must be positive"):
+        with pytest.raises(ValueError, match="outside the window"):
             solve_homotopy(f, 1.0, r_star=-1.0)
 
     def test_step_certification(self):
@@ -267,7 +272,7 @@ class TestSolveHomotopy:
             return residual(field, f, q)
 
         monkeypatch.setattr(smooth, "residual", recording)
-        rep = solve_homotopy(cos_density(0.045, 0.2, 2, 256), p)
+        rep = solve_homotopy(cos_density(256, 0.045, 0.2, 2), p)
         assert rep.stationarity_residual <= 1e-9
         assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations
 
@@ -285,7 +290,7 @@ class TestSolveHomotopy:
         monkeypatch.setattr(smooth, "NEWTON_MAX_ITERS", 2)
         monkeypatch.setattr(smooth, "newton_step", counting_step)
         with pytest.raises(SolverStallError) as info:
-            solve_homotopy(cos_density(0.045, 0.2, 2, 256), 1.0)
+            solve_homotopy(cos_density(256, 0.045, 0.2, 2), 1.0)
         assert type(info.value) is SolverStallError  # not the rounding floor
         assert len(steps) == 2
         assert "t = 0.25" in str(info.value)
@@ -294,7 +299,7 @@ class TestSolveHomotopy:
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_cos_perturbation(self, p, level):
         n = 512
-        f = cos_density(level, 0.2, 2, n)
+        f = cos_density(n, level, 0.2, 2)
         rep = solve_homotopy(f, p)
         assert rep.stationarity_residual <= 1e-9
         dens = smooth_lp_density(rep.body, p)
@@ -307,8 +312,8 @@ class TestSolveHomotopy:
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_grid_refinement(self, p, level):
         n = 256
-        coarse = solve_homotopy(cos_density(level, 0.2, 2, n), p).body.h
-        fine = solve_homotopy(cos_density(level, 0.2, 2, 2 * n), p).body.h
+        coarse = solve_homotopy(cos_density(n, level, 0.2, 2), p).body.h
+        fine = solve_homotopy(cos_density(2 * n, level, 0.2, 2), p).body.h
         assert np.max(np.abs(coarse - fine[::2])) <= 8.0 / n**2
 
     def test_nan_exponent_is_invalid_input(self):
@@ -316,22 +321,49 @@ class TestSolveHomotopy:
         with pytest.raises(ValueError, match="p must be positive"):
             solve_homotopy(np.full(64, 0.045), math.nan)
 
+    @pytest.mark.parametrize("call", [
+        lambda: VariationalProblem(uniform_mgon_measure(8, 0.3), math.inf),
+        lambda: solve_homotopy(np.full(64, 0.045), math.inf),
+        lambda: constant_branch_start(0.05, math.inf),
+    ], ids=["VariationalProblem", "solve_homotopy", "constant_branch_start"])
+    def test_infinite_exponent_refused(self, call):
+        # refused on entry, not by GaussConstants as "constants must be positive"
+        with pytest.raises(ValueError, match="p must be positive and finite, got p = inf"):
+            call()
+
     def test_mass_bound_refused_before_stepping(self):
         # level chosen so the total 2 pi * 0.08 = 0.503 exceeds the p = 1
-        # threshold 0.3641; the collision override must never be consulted
+        # threshold 0.3641; the off-window override must never be consulted
         with pytest.raises(MassBoundError):
             solve_homotopy(np.full(512, 0.08), 1.0, r_star=1.0)
 
-    def test_collision_override_triggers_logged_rechoice(self):
-        f = cos_density(0.045, 0.1, 2, 512)
-        rep = solve_homotopy(f, 1.0, r_star=1.0)
-        notes = [fl for fl in rep.flags if "re-chosen" in fl]
-        assert len(notes) == 1
-        assert "r* = 1 " in notes[0]
+    @pytest.mark.parametrize("r_star", [1.0, R_HALF_P1 + 1e-6, 3.0 + 1e-12, math.nan])
+    def test_off_window_override_refused(self, r_star):
+        # the window at p = 1 is (sqrt(2 ln 2) + 1e-6, 3]; r_star = 1 is the fold
+        # r0^2 = 2 - p
+        f = cos_density(512, 0.045, 0.1, 2)
+        with pytest.raises(ValueError, match=r"outside the window .* for p = 1$"):
+            solve_homotopy(f, 1.0, r_star=r_star)
+
+    def test_window_ends_used_as_given(self):
+        f = cos_density(256, 0.045, 0.1, 2)
+        for r_star in (R_HALF_P1 + 2e-6, 3.0):
+            rep = solve_homotopy(f, 1.0, r_star=r_star)
+            assert rep.homotopy_trace[0].gauss_volume > 0.5
+            assert rep.flags == ()
+
+    def test_fold_neighbourhood_refused(self):
+        # for p < 2 - 2 ln 2 the window starts at the fold sqrt(2 - p); the
+        # first rung stalls from starts up to about 2e-7 above it
+        p, fold = 0.5, math.sqrt(1.5)
+        f = cos_density(256, 0.6 * gauss_constants(2, p).mass_bound / TWO_PI, 0.2, 2)
+        with pytest.raises(ValueError, match="outside the window"):
+            solve_homotopy(f, p, r_star=fold + 2e-9)
+        rep = solve_homotopy(f, p, r_star=fold + 2e-6)
         assert rep.stationarity_residual <= 1e-9
 
     def test_distinct_starts_agree(self):
-        f = cos_density(0.045, 0.1, 2, 512)
+        f = cos_density(512, 0.045, 0.1, 2)
         rep1 = solve_homotopy(f, 1.0, r_star=1.5)
         rep2 = solve_homotopy(f, 1.0, r_star=2.6)
         d = body_hausdorff_distance(field_to_polygon(rep1.body),
@@ -339,7 +371,7 @@ class TestSolveHomotopy:
         assert d <= 1e-6
 
     def test_subunit_exponent_flagged_uncertified(self):
-        rep = solve_homotopy(cos_density(0.045, 0.1, 2, 256), 0.7)
+        rep = solve_homotopy(cos_density(256, 0.045, 0.1, 2), 0.7)
         assert "uncertified" in rep.flags
         assert rep.stationarity_residual <= 1e-9
 
@@ -405,7 +437,7 @@ class TestRoundingFloor:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_below_floor_raises_at_first_stall(self, p, failed_steps):
-        f = cos_density(0.045, 0.2, 2, self.N)
+        f = cos_density(self.N, 0.045, 0.2, 2)
         with pytest.raises(RoundingFloorError) as info:
             solve_homotopy(f, p)
         exc = info.value
@@ -424,7 +456,7 @@ class TestRoundingFloor:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_tolerance_above_floor_solves(self, p, failed_steps):
-        f = cos_density(0.045, 0.2, 2, self.N)
+        f = cos_density(self.N, 0.045, 0.2, 2)
         rep = solve_homotopy(f, p, newton_tol=1e-10)
         assert rep.stationarity_residual <= 1e-10
         assert not failed_steps
@@ -435,7 +467,7 @@ class TestRoundingFloor:
         # halvings round it away, and the step stops there instead of
         # evaluating all 20 damping levels
         with pytest.raises(RoundingFloorError):
-            solve_homotopy(cos_density(0.045, 0.2, 2, self.N), p)
+            solve_homotopy(cos_density(self.N, 0.045, 0.2, 2), p)
         field, f = failed_steps[0]
         defect = residual(field, f, p)
         evaluated = []
