@@ -18,12 +18,17 @@ Method: Newton's method on the KKT system in (h, lambda),
 where g is the vector of exact Gaussian edge masses, the gradient of the
 exact per-sector volume.  With the atoms sorted by angle the Hessian of
 gamma_2 is cyclic tridiagonal, so a step costs one cyclic-tridiagonal solve
-with two right-hand sides and a scalar Schur complement for lambda.  Steps
-are halved until every atom keeps its facet and the residual norm
-decreases; the iteration stops at a scaled residual of 1e-13 or at the
-rounding floor, where no halving decreases it.  The solve is deterministic:
-it starts on the constraint, from the ball whose Gaussian volume is the
-target, or, for p < 1, where phi is not convex, from the solution at p = 1.
+with two right-hand sides and a scalar Schur complement for lambda.  The
+atom directions stay fixed, so a trial step rebuilds only the support part
+of the start body's edge frame (SupportPolygon.with_support).  Steps are
+halved until the residual norm decreases and every atom keeps its facet:
+the trial's edges must have positive length, and the canonical Wulff
+reduction, with its collinearity tolerance, runs once on the step that
+decreases the residual.  The iteration stops at a scaled residual of 1e-13
+or at the rounding floor, where no halving decreases it.  The solve is
+deterministic: it starts on the constraint, from the ball whose Gaussian
+volume is the target, or, for p < 1, where phi is not convex, from the
+solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
@@ -166,7 +171,7 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
     # phi is convex for p >= 1 only; below that, start from the p = 1 body.
     for q in ((1.0, p) if p < 1.0 else (p,)):
         body, n, why = _newton_kkt(
-            directions, masses, q, prob.target_volume, body.support,
+            body, directions, masses, q, prob.target_volume,
             recover_multiplier(body, mu, q)[0], lambda h: trace.append(float(masses @ h**p)))
         steps += n
 
@@ -192,26 +197,33 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
     )
 
 
-def _newton_kkt(directions, masses, p, target, h, lam, accepted):
-    """Damped Newton on the KKT system from (h, lam); h keeps every facet.
+def _newton_kkt(frame, directions, masses, p, target, lam, accepted):
+    """Damped Newton on the KKT system from (frame.support, lam).
 
-    directions are sorted by angle.  accepted(h) is called after every
+    frame is a body on the sorted atom directions that keeps every facet;
+    trial bodies reuse its edge frame.  accepted(h) is called after every
     accepted step.  Returns (body, steps, why Newton stopped).
     """
 
     def evaluate(h, lam):
         """(body, g, F_1, F_2, merit, scaled residual), or None off the guard."""
         try:
-            body, kept = wulff_shape_with_indices(directions, h)
-        except ValueError:  # nonpositive support or an unbounded intersection
+            body = frame.with_support(h)
+        except ValueError:  # nonpositive support or an edge of nonpositive length
             return None
-        if len(kept) < len(h):
-            return None  # facet guard: every atom keeps its edge
         g, dphi = gauss_surface_polygon(body), p * masses * h ** (p - 1.0)
         f1, f2 = dphi - lam * g, gauss_volume_exact(body) - target
         merit = math.hypot(float(np.linalg.norm(f1 / (p * masses))), f2)
         return body, g, f1, f2, merit, max(float(np.max(np.abs(f1) / dphi)), abs(f2))
 
+    def keeps_every_facet(h):
+        """Facet guard: the canonical reduction keeps every atom's edge."""
+        try:
+            return len(wulff_shape_with_indices(directions, h)[1]) == len(h)
+        except ValueError:
+            return False
+
+    h = frame.support
     state = evaluate(h, lam)
     for steps in range(MAX_STEPS + 1):
         body, g, f1, f2, merit, scaled = state
@@ -236,7 +248,7 @@ def _newton_kkt(directions, masses, p, target, h, lam, accepted):
             if lam_t == lam and np.array_equal(h_t, h):  # so does every smaller t
                 return body, steps, ROUNDING_FLOOR
             trial = evaluate(h_t, lam_t)
-            if trial is not None and trial[4] < merit:
+            if trial is not None and trial[4] < merit and keeps_every_facet(h_t):
                 break
             t *= 0.5
         else:

@@ -53,6 +53,14 @@ def _angles_of(vectors: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(vectors[:, 1], vectors[:, 0]), TWO_PI)
 
 
+def _check_support(support: np.ndarray, m: int) -> None:
+    """One positive support value per normal."""
+    if support.shape != (m,):
+        raise ValueError("inconsistent array lengths")
+    if np.any(support <= 0.0):
+        raise ValueError("support values must be positive (origin interior)")
+
+
 def _rotate(a: np.ndarray, k: int) -> np.ndarray:
     """np.roll(a, -k, axis=0) for k = 1 or -1, without its overhead on short arrays."""
     return np.concatenate([a[k:], a[:k]])
@@ -68,22 +76,32 @@ class SupportPolygon:
     redundant halfplanes; one left in (an edge with t1 <= t0) raises
     ValueError.  Construction derives the edge frame once, read-only
     like the inputs.  With c, s = turn_cos[i], turn_sin[i] = nu_i . nu_{i+1},
-    nu_i x nu_{i+1} and tau_i the normal turned a quarter left,
+    nu_i x nu_{i+1}, bend[i] = s/(1 + c) and tau_i the normal turned a
+    quarter left,
 
-        t1[i]       = (h_{i+1} - h_i)/s + h_i s/(1 + c),
-        t0[i+1]     = (h_{i+1} - h_i)/s - h_{i+1} s/(1 + c),
+        t1[i]       = (h_{i+1} - h_i)/s + h_i bend[i],
+        t0[i+1]     = (h_{i+1} - h_i)/s - h_{i+1} bend[i],
         vertices[i] = h_i nu_i + t1[i] tau_i:
 
     edge i runs from t0[i] to t1[i] along tau_i, measured from its foot
     h_i nu_i, and vertices[i] is the corner of edges i and i+1 (cyclic).
     Unlike (h_{i+1} - h_i c)/s, this form keeps its precision for close
-    normals; past a quarter turn, s/(1 + c) = tan(turn/2) is taken as (1 - c)/s.
+    normals; past a quarter turn, bend = tan(turn/2) is taken as (1 - c)/s.
+
+    The frame splits in two.  turn_cos, turn_sin and bend depend on the
+    normals alone (consecutive normals a half turn or more apart raise
+    UnboundedBodyError); t0, t1 and vertices depend on the support too.
+    The constructor validates everything.  :meth:`with_support` keeps the
+    normals and their part of the frame and checks only the new support;
+    :func:`wulff_shape` skips the checks its reduction guarantees (unit,
+    strictly sorted normals and positive support).
     """
 
     normals: np.ndarray
     support: np.ndarray
     turn_cos: np.ndarray = field(init=False, repr=False, compare=False)
     turn_sin: np.ndarray = field(init=False, repr=False, compare=False)
+    bend: np.ndarray = field(init=False, repr=False, compare=False)
     t0: np.ndarray = field(init=False, repr=False, compare=False)
     t1: np.ndarray = field(init=False, repr=False, compare=False)
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
@@ -94,27 +112,48 @@ class SupportPolygon:
         m = normals.shape[0]
         if m < 3:
             raise ValueError("a polygon needs at least 3 edges")
-        if support.shape != (m,):
-            raise ValueError("inconsistent array lengths")
-        if np.any(support <= 0.0):
-            raise ValueError("support values must be positive (origin interior)")
-        ang = _angles_of(normals)
-        if np.any(np.diff(ang) <= 0.0):
+        _check_support(support, m)
+        if np.any(np.diff(_angles_of(normals)) <= 0.0):
             raise ValueError("normals must be strictly sorted by angle")
-        (x, y), (nx, ny), h_next = normals.T, _rotate(normals, 1).T, _rotate(support, 1)
+        self._derive_frame(normals)
+        self._derive_edges(support)
+
+    def with_support(self, support) -> SupportPolygon:
+        """The body with these normals and new support values; the normals'
+        part of the frame is reused.  Raises ValueError for a support of the
+        wrong shape or not positive, and when an edge vanishes."""
+        support = np.array(support, dtype=float)
+        _check_support(support, self.num_edges)
+        body = object.__new__(SupportPolygon)
+        body._freeze(normals=self.normals, turn_cos=self.turn_cos,
+                     turn_sin=self.turn_sin, bend=self.bend)
+        body._derive_edges(support)
+        return body
+
+    def _derive_frame(self, normals: np.ndarray) -> None:
+        """The part of the frame that depends on the normals alone."""
+        (x, y), (nx, ny) = normals.T, _rotate(normals, 1).T
         c, s = x * nx + y * ny, x * ny - y * nx
         if np.any(s <= 0.0):
             raise UnboundedBodyError("consecutive normals must be less than pi apart")
         near = c > 0.0  # tan(turn / 2), in the form that does not cancel
         bend = np.where(near, s, 1.0 - c) / np.where(near, 1.0 + c, s)
-        rise = (h_next - support) / s
+        self._freeze(normals=normals, turn_cos=c, turn_sin=s, bend=bend)
+
+    def _derive_edges(self, support: np.ndarray) -> None:
+        """The part of the frame that depends on the support: t0, t1, vertices."""
+        h_next, bend = _rotate(support, 1), self.bend
+        rise = (h_next - support) / self.turn_sin
         t1, t0 = rise + support * bend, _rotate(rise - h_next * bend, -1)
         if np.any(t1 <= t0):
             raise ValueError("redundant halfplane (edge of nonpositive length); "
                              "reduce the halfplanes with wulff_shape")
+        x, y = self.normals.T
         vertices = np.column_stack([support * x - t1 * y, support * y + t1 * x])
-        for name, arr in (("normals", normals), ("support", support), ("turn_cos", c),
-                          ("turn_sin", s), ("t0", t0), ("t1", t1), ("vertices", vertices)):
+        self._freeze(support=support, t0=t0, t1=t1, vertices=vertices)
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -235,14 +274,25 @@ def wulff_shape(normals, support) -> SupportPolygon:
     Raises UnboundedBodyError when the normals lie in a closed halfplane and
     ValueError for nonpositive support values or fewer than 3 normals.
     """
-    _, nu_k, h_k = _reduce_halfplanes(normals, support)
-    return SupportPolygon(nu_k, h_k)
+    return _reduced_body(normals, support)[0]
 
 
 def wulff_shape_with_indices(normals, support):
     """Like :func:`wulff_shape` but also returns the retained input indices."""
+    return _reduced_body(normals, support)
+
+
+def _reduced_body(normals, support):
+    """(body, kept) of the Wulff reduction, built without re-validation."""
     kept, nu_k, h_k = _reduce_halfplanes(normals, support)
-    return SupportPolygon(nu_k, h_k), kept
+    if len(kept) < 3:
+        raise ValueError("a polygon needs at least 3 edges")
+    # The rows are unit, strictly sorted and h_k positive; the constructor's
+    # normalization is kept, so the body is bit-identical to SupportPolygon's.
+    body = object.__new__(SupportPolygon)
+    body._derive_frame(nu_k / np.linalg.norm(nu_k, axis=1)[:, None])
+    body._derive_edges(h_k)
+    return body, kept
 
 
 def support_profile(body: SupportPolygon, directions) -> np.ndarray:
@@ -268,7 +318,7 @@ def scale_body(body: SupportPolygon, s: float) -> SupportPolygon:
     """Dilate by s > 0 about the origin."""
     if s <= 0.0:
         raise ValueError("scale factor must be positive")
-    return SupportPolygon(body.normals, s * body.support)
+    return body.with_support(s * body.support)
 
 
 def disc_polygon(radius: float, m: int = 512) -> SupportPolygon:

@@ -303,9 +303,11 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     default 1e-11 lies above the rounding floor (module docstring) up to
-    N = 4096, and a stall at the floor raises RoundingFloorError naming a
-    reachable tolerance; any other Newton failure raises SolverStallError
-    naming the rung.  r_star overrides the radius of the constant start,
+    N = 4096 on the cos densities measured at p >= 0.7, but not for heavy, rough densities at smaller p:
+    cos_density(4096, 0.95 mass_bound / 2 pi, 0.9, 3) converges for p = 0.7
+    to 3 and stalls at the floor for p = 0.2 and 0.5.  A stall at the floor
+    raises RoundingFloorError naming a reachable tolerance; any other
+    Newton failure raises SolverStallError naming the rung.  r_star overrides the radius of the constant start,
     the midpoint of its window by default; a value outside the window
     (branch floor + 1e-6, R_STAR_CEILING] raises ValueError.
     """

@@ -32,11 +32,13 @@ from gaussmink.gaussian import (
 from gaussmink.smooth import solve_homotopy
 from gaussmink.geometry import (
     DiscreteMeasure,
+    SupportPolygon,
     body_hausdorff_distance,
     box_polygon,
     disc_polygon,
     support_profile,
     wulff_shape,
+    wulff_shape_with_indices,
 )
 
 SQUARE_EDGE_MASS = 0.16519087103401669
@@ -350,14 +352,51 @@ class TestSolveConstrained:
     def test_rounding_floor_ends_the_halving_search(self, monkeypatch):
         # the 512-gon solve ends at its rounding floor after 5 Newton steps;
         # once a halved step no longer moves (h, lambda) the search stops
-        # instead of reducing the same 512 halfplanes down to 2^-30
-        calls = []
-        original = discrete.wulff_shape_with_indices
+        # instead of evaluating the same 512 edges down to 2^-30.  Every
+        # evaluation rebuilds the body by with_support; the halfplane
+        # reduction runs on the start ball and once per accepted step
+        evaluations, reductions = [], []
+        with_support = SupportPolygon.with_support
+        reduce = discrete.wulff_shape_with_indices
+        monkeypatch.setattr(SupportPolygon, "with_support",
+                            lambda *args: evaluations.append(1) or with_support(*args))
         monkeypatch.setattr(discrete, "wulff_shape_with_indices",
-                            lambda *args: calls.append(1) or original(*args))
+                            lambda *args: reductions.append(1) or reduce(*args))
         report = solve_constrained(VariationalProblem(uniform_mgon_measure(512, 0.3), 1.0))
         assert abs(report.volume_residual) <= 1e-12
-        assert len(calls) <= 25
+        assert len(evaluations) <= 25
+        assert len(reductions) <= 1 + report.iterations
+
+    # (iterations, objective trace) of three solves, pinned bit for bit; the
+    # p = 0.7 solve runs Newton at p = 1 first, then at p = 0.7.
+    GOLDEN = {
+        "512-gon, p = 1": (lambda: uniform_mgon_measure(512, 0.3), 1.0, 5, (
+            0.35322300675464235, 0.35322079029910336, 0.3532207903017896,
+            0.35322079030178966, 0.35322079030178977, 0.3532207903017897)),
+        "rng 117, p = 1.5": (lambda: random_spanning_measure(np.random.default_rng(117), 20, 64),
+                             1.5, 5, (
+            5.008206810379699, 4.849407927776299, 4.807058904903738, 4.830085393080987,
+            4.830204079812221, 4.830204090481145)),
+        "rng 117, p = 0.7": (lambda: random_spanning_measure(np.random.default_rng(117), 20, 64),
+                             0.7, 10, (
+            4.394809673455799, 4.317658727821681, 4.300030599336033, 4.3111206896194885,
+            4.31119223138352, 4.311192244769223, 4.311192244769225, 4.309461116259631,
+            4.310410022846962, 4.310410160474048, 4.3104101604740634)),
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_golden_solves(self, case):
+        # bit-identical to the pinned solves, and the returned body is a
+        # fixed point of the canonical reduction: every edge kept, same bits
+        measure, p, iterations, trace = self.GOLDEN[case]
+        mu = measure()
+        report = solve_constrained(VariationalProblem(mu, p))
+        assert report.iterations == iterations
+        assert repr(report.objective_trace) == repr(trace)
+        body = report.body
+        reduced, kept = wulff_shape_with_indices(body.normals, body.support)
+        assert np.array_equal(kept, np.arange(mu.num_atoms))
+        assert reduced.support.tobytes() == body.support.tobytes()
 
     def test_starts_on_the_volume_constraint(self):
         # grid measure of the cos density at the volume of its smooth

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmink.errors import ConvexityError, UnboundedBodyError
-from gaussmink.families import uniform_mgon_measure
+from gaussmink.families import random_polygon, uniform_mgon_measure
 from gaussmink.geometry import (
     TWO_PI,
     DiscreteMeasure,
@@ -345,6 +345,78 @@ class TestSupportPolygonValidation:
                                    K.support[e], rtol=1e-12)
         np.testing.assert_allclose(rho * np.max(u @ K.normals.T / K.support, axis=1),
                                    1.0, rtol=1e-12)
+
+
+def frame_bytes(body):
+    """The body's inputs and derived frame, as raw bytes."""
+    return tuple(getattr(body, name).tobytes() for name in (
+        "normals", "support", "turn_cos", "turn_sin", "t0", "t1", "vertices"))
+
+
+def outcome(build):
+    """frame_bytes of build(), or the type and message of the ValueError it raises."""
+    try:
+        return frame_bytes(build())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestConstructionPaths:
+    """with_support, wulff_shape and scale_body skip checks, not bits: each
+    gives what the validating constructor gives on the same data."""
+
+    @given(st.integers(0, 10**6), st.floats(0.0, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_with_support_matches_the_constructor(self, seed, spread):
+        # supports moved by up to `spread` relative: some edges vanish, and
+        # then both paths refuse the body with the same error
+        rng = np.random.default_rng(seed)
+        body = random_polygon(rng)
+        h = body.support * rng.uniform(1.0 - spread, 1.0 + spread, body.num_edges)
+        assert (outcome(lambda: body.with_support(h))
+                == outcome(lambda: SupportPolygon(body.normals, h)))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "hexagon", "collinear"]))
+    @settings(max_examples=40, deadline=None)
+    def test_wulff_shape_matches_the_constructor_on_the_reduction(self, seed, family):
+        normals, support = reduction_input(seed, family)
+        try:
+            _, nu_k, h_k = _reduce_halfplanes(normals, support)
+        except ValueError:  # an unbounded intersection: wulff_shape refuses it too
+            with pytest.raises(ValueError):
+                wulff_shape(normals, support)
+            return
+        assert (outcome(lambda: wulff_shape(normals, support))
+                == outcome(lambda: SupportPolygon(nu_k, h_k)))
+
+    @given(st.integers(0, 10**6), st.floats(0.01, 100.0))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_body_matches_the_constructor(self, seed, s):
+        body = random_polygon(np.random.default_rng(seed))
+        assert (frame_bytes(scale_body(body, s))
+                == frame_bytes(SupportPolygon(body.normals, s * body.support)))
+
+    def test_with_support_refusals(self):
+        theta = np.array([0.0, 0.25, 0.5, 1.0, 1.5]) * np.pi
+        body = SupportPolygon(np.column_stack([np.cos(theta), np.sin(theta)]), np.ones(5))
+        with pytest.raises(ValueError, match="inconsistent"):
+            body.with_support(np.ones(4))
+        with pytest.raises(ValueError, match="inconsistent"):
+            body.with_support(np.ones((5, 1)))
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                body.with_support(np.array([1.0, 1.0, bad, 1.0, 1.0]))
+        # support 5 at pi/4 lifts that edge off the body: it would run from
+        # t0 = 3.59 back to t1 = -3.59
+        with pytest.raises(ValueError, match="wulff_shape"):
+            body.with_support(np.array([1.0, 5.0, 1.0, 1.0, 1.0]))
+
+    def test_with_support_shares_the_frame_and_copies_the_support(self):
+        body, h = box_polygon(1.0), np.array([1.0, 2.0, 3.0, 4.0])
+        moved = body.with_support(h)
+        h[0] = 9.0
+        assert moved.support[0] == 1.0 and moved.normals is body.normals
+        assert np.array_equal(moved.vertices, [[1.0, 2.0], [-3.0, 2.0], [-3.0, -4.0], [1.0, -4.0]])
 
 
 class TestLpCombination:
