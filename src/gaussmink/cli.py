@@ -112,6 +112,15 @@ def _emit(config: RunConfig, text: str) -> None:
         _write_output(config.output_path, text)
 
 
+def _emit_report(config: RunConfig, report) -> int:
+    """Print the report's key=value lines; --output gets the solved body."""
+    sys.stdout.write(serialize.report_text(report))
+    if config.output_path is not None:
+        _write_output(config.output_path,
+                      serialize.dumps_json(serialize.solution_to_dict(report)))
+    return EXIT_OK
+
+
 def _require_input(config: RunConfig, expected: str):
     if config.input_path is None:
         raise ValueError(f"{config.command} requires --input")
@@ -147,12 +156,7 @@ def _cmd_solve_discrete(config: RunConfig) -> int:
     prob = VariationalProblem(
         mu, p,
         stationarity_tol=config.tol if config.tol is not None else 1e-4)
-    report = solve_constrained(prob)
-    sys.stdout.write(serialize.report_text(report))
-    if config.output_path is not None:
-        _write_output(config.output_path,
-                      serialize.dumps_json(serialize.solution_to_dict(report)))
-    return EXIT_OK
+    return _emit_report(config, solve_constrained(prob))
 
 
 def _smooth_density(config: RunConfig) -> np.ndarray:
@@ -174,12 +178,8 @@ def _smooth_density(config: RunConfig) -> np.ndarray:
 def _cmd_solve_smooth(config: RunConfig) -> int:
     values = _smooth_density(config)
     tol = {} if config.tol is None else {"newton_tol": config.tol}
-    report = solve_homotopy(values, config.p if config.p is not None else 1.0, **tol)
-    sys.stdout.write(serialize.report_text(report))
-    if config.output_path is not None:
-        _write_output(config.output_path,
-                      serialize.dumps_json(serialize.solution_to_dict(report)))
-    return EXIT_OK
+    return _emit_report(config, solve_homotopy(
+        values, config.p if config.p is not None else 1.0, **tol))
 
 
 def _cmd_verify(config: RunConfig) -> int:
@@ -197,7 +197,7 @@ def _cmd_plot(config: RunConfig) -> int:
         drawable = obj
     elif kind == "density":
         # theta-implicit values are read back as a support field
-        drawable = SupportField(len(obj), obj)
+        drawable = SupportField(obj)
     else:
         raise ValueError(f"plot expects a body or field file, got a {kind} file")
     _emit(config, serialize.boundary_svg(drawable))

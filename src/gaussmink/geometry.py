@@ -66,6 +66,13 @@ def _rotate(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([a[k:], a[:k]])
 
 
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Set read-only arrays as fields of a frozen dataclass instance."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class SupportPolygon:
     """Planar convex body with the origin interior, in canonical edge form.
@@ -125,8 +132,8 @@ class SupportPolygon:
         support = np.array(support, dtype=float)
         _check_support(support, self.num_edges)
         body = object.__new__(SupportPolygon)
-        body._freeze(normals=self.normals, turn_cos=self.turn_cos,
-                     turn_sin=self.turn_sin, bend=self.bend)
+        _freeze(body, normals=self.normals, turn_cos=self.turn_cos,
+                turn_sin=self.turn_sin, bend=self.bend)
         body._derive_edges(support)
         return body
 
@@ -138,7 +145,7 @@ class SupportPolygon:
             raise UnboundedBodyError("consecutive normals must be less than pi apart")
         near = c > 0.0  # tan(turn / 2), in the form that does not cancel
         bend = np.where(near, s, 1.0 - c) / np.where(near, 1.0 + c, s)
-        self._freeze(normals=normals, turn_cos=c, turn_sin=s, bend=bend)
+        _freeze(self, normals=normals, turn_cos=c, turn_sin=s, bend=bend)
 
     def _derive_edges(self, support: np.ndarray) -> None:
         """The part of the frame that depends on the support: t0, t1, vertices."""
@@ -150,12 +157,7 @@ class SupportPolygon:
                              "reduce the halfplanes with wulff_shape")
         x, y = self.normals.T
         vertices = np.column_stack([support * x - t1 * y, support * y + t1 * x])
-        self._freeze(support=support, t0=t0, t1=t1, vertices=vertices)
-
-    def _freeze(self, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, support=support, t0=t0, t1=t1, vertices=vertices)
 
     @cached_property
     def _sector_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -407,10 +409,7 @@ class DiscreteMeasure:
         gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
         if len(ang) > 1 and gaps.min() <= _ANGLE_DEDUP_TOL:
             raise ValueError("atom directions must be distinct")
-        directions.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "masses", masses)
+        _freeze(self, directions=directions, masses=masses)
 
     @property
     def num_atoms(self) -> int:
@@ -466,8 +465,9 @@ def hemisphere_margin(mu: DiscreteMeasure) -> float:
 class SupportField:
     """Periodic sample of a support function h on the circle.
 
-    h[k] is the value at theta_k = 2 pi k / N.  Construction computes the
-    periodic central differences once, both read-only like h:
+    h[k] is the value at theta_k = 2 pi k / N, and the grid size N is
+    len(h), read back as resolution.  Construction computes the periodic
+    central differences once, both read-only like h:
 
         slope[k]     = (D h)_k       = (h_{k+1} - h_{k-1}) / (2 step)
         curvature[k] = (D^2 h + h)_k = (h_{k+1} - 2 h_k + h_{k-1}) / step^2 + h_k.
@@ -476,26 +476,27 @@ class SupportField:
     every node, and construction fails otherwise.
     """
 
-    resolution: int
     h: np.ndarray
     slope: np.ndarray = field(init=False, repr=False, compare=False)
     curvature: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float)
-        if h.shape != (self.resolution,):
-            raise ValueError("h must have length equal to the resolution")
+        if h.ndim != 1 or h.size == 0:
+            raise ValueError("h must be a nonempty one-dimensional sample")
         if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
             raise ValueError("support values must be positive and finite")
-        up, down, step = _rotate(h, 1), _rotate(h, -1), self.step
+        up, down, step = _rotate(h, 1), _rotate(h, -1), TWO_PI / len(h)
         curvature = (up - 2.0 * h + down) / (step * step) + h
         if np.any(curvature <= 0.0):
             node = int(np.argmin(curvature))
             raise ConvexityError(node, float(curvature[node]))
         slope = (up - down) / (2.0 * step)
-        for name, values in (("h", h), ("slope", slope), ("curvature", curvature)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        _freeze(self, h=h, slope=slope, curvature=curvature)
+
+    @property
+    def resolution(self) -> int:
+        return len(self.h)
 
     @property
     def step(self) -> float:

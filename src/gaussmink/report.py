@@ -41,3 +41,11 @@ class SolveReport:
         object.__setattr__(self, "homotopy_trace", tuple(self.homotopy_trace))
         object.__setattr__(self, "flags", tuple(self.flags))
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
+
+
+def certificate_flags(p: float, even: bool, light: bool) -> list[str]:
+    """Flags of a solve outside the paper's certificate regime: "uncertified"
+    for p < 1, and "no-uniqueness-certificate" unless the data are even and
+    light (total mass below gauss_constants(2, p).mass_bound)."""
+    return ((["uncertified"] if p < 1.0 else [])
+            + ([] if even and light else ["no-uniqueness-certificate"]))

@@ -208,7 +208,6 @@ def report_text(report: SolveReport) -> str:
     if report.homotopy_trace:
         lines.append(f"homotopy_steps={len(report.homotopy_trace)}")
     if report.objective_trace:
-        lines.append(f"outer_rounds={len(report.objective_trace)}")
         lines.append(f"objective={echo_float(report.objective_trace[-1])}")
     lines.append("flags=" + ";".join(report.flags))
     return "\n".join(lines) + "\n"

@@ -47,7 +47,7 @@ from .gaussian import (
     smooth_lp_density,
 )
 from .geometry import TWO_PI, SupportField
-from .report import SolveReport
+from .report import SolveReport, certificate_flags
 
 # upper end of the radius window of constant starts; Gaussian decay makes
 # larger balls useless as homotopy anchors
@@ -238,7 +238,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
         if np.array_equal(candidate, field.h):
             break  # every smaller t evaluates the same point
         try:
-            trial = SupportField(field.resolution, candidate)
+            trial = SupportField(candidate)
         except ValueError:  # a ConvexityError among them
             t *= 0.5
             continue
@@ -266,48 +266,27 @@ def _rounding_floor(field: SupportField, p: float) -> float:
     return float(np.finfo(float).eps * np.max(a * h) / field.step**2)
 
 
-def _round_up(x: float) -> float:
-    """x rounded up to one significant digit."""
-    scale = 10.0 ** math.floor(math.log10(x))
-    return math.ceil(x / scale) * scale
-
-
-def _newton_solve(field, f_target, p, tol):
-    """Newton iteration to residual max-norm <= tol.
-
-    Returns (field, iterations, residual max-norm).
-    """
-    defect = residual(field, f_target, p)
-    for it in range(NEWTON_MAX_ITERS + 1):
-        norm = float(np.max(np.abs(defect)))
-        if norm <= tol:
-            return field, it, norm
-        if it == NEWTON_MAX_ITERS:
-            break
-        field, defect = newton_step(field, f_target, p, defect)
-    raise SolverStallError(
-        f"Newton did not reach tolerance in {NEWTON_MAX_ITERS} iterations"
-    )
-
-
 def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
                    r_star: float | None = None) -> SolveReport:
     """Track the constant solution to a solution of density = f.
 
     f is sampled on N uniform angles, N = len(f) even and at least 64, and
     must be positive with total mass below the solvability threshold; the
-    threshold check runs before any continuation step.  The returned report
-    carries the solution field, the max-norm equation residual, the volume
-    margin above 1/2, and the certified continuation trace: t = 0, then each
-    rung of T_LADDER.
+    threshold check runs before any continuation step.  One loop walks
+    t = 0 and then each rung of T_LADDER, f_t = (1-t) c0 + t f.  The start
+    is exact at t = 0, so only the rungs take Newton steps, each from the
+    previous field; every t reached is volume-checked and recorded as a
+    HomotopyStep.  The report carries the solution field, the max-norm
+    equation residual, the volume margin above 1/2 and that trace.
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     default 1e-11 lies above the rounding floor (module docstring) up to
-    N = 4096 on the cos densities measured at p >= 0.7, but not for heavy, rough densities at smaller p:
-    cos_density(4096, 0.95 mass_bound / 2 pi, 0.9, 3) converges for p = 0.7
-    to 3 and stalls at the floor for p = 0.2 and 0.5.  A stall at the floor
-    raises RoundingFloorError naming a reachable tolerance; any other
-    Newton failure raises SolverStallError naming the rung.  r_star overrides the radius of the constant start,
+    N = 4096 on the cos densities measured at p >= 0.7, but not for heavy,
+    rough densities at smaller p: cos_density(4096, 0.95 mass_bound / 2 pi,
+    0.9, 3) converges for p = 0.7 to 3 and stalls at the floor for p = 0.2
+    and 0.5.  A stall at the floor raises RoundingFloorError naming a
+    reachable tolerance; any other Newton failure raises SolverStallError
+    naming the rung.  r_star overrides the radius of the constant start,
     the midpoint of its window by default; a value outside the window
     (branch floor + 1e-6, R_STAR_CEILING] raises ValueError.
     """
@@ -324,12 +303,6 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got p = {p:g}")
 
-    flags: list[str] = []
-    if p < 1.0:
-        flags.append("uncertified")
-    if float(np.max(np.abs(f - np.roll(f, n // 2)))) > 1e-12 * float(np.max(f)):
-        flags.append("no-uniqueness-certificate")
-
     total_mass = TWO_PI * float(np.mean(f))
     constants = gauss_constants(2, p)
     if total_mass >= constants.mass_bound:
@@ -337,6 +310,8 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
             f"total mass {total_mass:.6g} is not below the solvability "
             f"threshold {constants.mass_bound:.6g} for p = {p:g}"
         )
+    even = float(np.max(np.abs(f - np.roll(f, n // 2)))) <= 1e-12 * float(np.max(f))
+    flags = certificate_flags(p, even, total_mass < constants.mass_bound)
 
     # constant start: the midpoint of the window (branch floor + 1e-6, ceiling];
     # the margin keeps off the fold r0^2 = 2 - p, near which (up to about
@@ -348,24 +323,23 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
             f"r_star = {r0:g} lies outside the window of constant starts "
             f"({floor:.6g} + 1e-6, {R_STAR_CEILING:g}] for p = {p:g}")
     c0 = constant_field_density(r0, p)
-    field = SupportField(n, np.full(n, r0))
-    steps = [
-        HomotopyStep(
-            t=0.0,
-            newton_iters=0,
-            residual=float(np.max(np.abs(residual(field, np.full(n, c0), p)))),
-            min_convexity=float(np.min(field.curvature)),
-            gauss_volume=field_gauss_volume(field),
-        )
-    ]
-
-    total_newton = 0
-    for t in T_LADDER:
+    field = SupportField(np.full(n, r0))
+    steps: list[HomotopyStep] = []
+    for t in (0.0, *T_LADDER):
         f_target = (1.0 - t) * c0 + t * f
+        defect = residual(field, f_target, p)
+        iters = 0
         try:
-            new_field, iters, norm = _newton_solve(field, f_target, p, newton_tol)
+            while (norm := float(np.max(np.abs(defect)))) > newton_tol and t > 0.0:
+                if iters == NEWTON_MAX_ITERS:
+                    raise SolverStallError(f"Newton did not reach tolerance in "
+                                           f"{NEWTON_MAX_ITERS} iterations")
+                field, defect = newton_step(field, f_target, p, defect)
+                iters += 1
         except RoundingFloorError as exc:
-            reachable = _round_up(max(_REACHABLE_FLOORS * exc.floor, exc.residual))
+            reachable = max(_REACHABLE_FLOORS * exc.floor, exc.residual)
+            scale = 10.0 ** math.floor(math.log10(reachable))
+            reachable = math.ceil(reachable / scale) * scale  # rounded up to 1 digit
             raise RoundingFloorError(
                 f"Newton stalled at the rounding floor of the residual "
                 f"(N = {n}, p = {p:g}, reached t = {steps[-1].t:.6g}): "
@@ -377,7 +351,7 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         except SolverStallError as exc:
             raise SolverStallError(f"{exc} on the continuation rung t = {t:g}",
                                    trace=list(steps)) from None
-        gamma = field_gauss_volume(new_field)
+        gamma = field_gauss_volume(field)
         if gamma <= 0.5:
             raise SolverStallError(
                 f"path lost the volume certificate at t = {t:.6g}: "
@@ -389,12 +363,10 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
                 t=t,
                 newton_iters=iters,
                 residual=norm,
-                min_convexity=float(np.min(new_field.curvature)),
+                min_convexity=float(np.min(field.curvature)),
                 gauss_volume=gamma,
             )
         )
-        field = new_field
-        total_newton += iters
 
     density = smooth_lp_density(field, p)
     return SolveReport(
@@ -402,7 +374,7 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         multiplier=float(density @ f / (f @ f)),
         volume_residual=steps[-1].gauss_volume - 0.5,
         stationarity_residual=float(np.max(np.abs(density - f))),
-        iterations=total_newton,
+        iterations=sum(step.newton_iters for step in steps),
         homotopy_trace=tuple(steps),
         flags=tuple(flags),
         objective_trace=(),

@@ -17,10 +17,12 @@ from gaussmink.discrete import VariationalProblem, solve_constrained
 from gaussmink.errors import MassBoundError
 from gaussmink.families import (cos_density, hemisphere_bad_measure,
                                 random_polygon)
-from gaussmink.gaussian import (gauss_constants, gauss_volume,
-                                gauss_volume_exact, gauss_volume_mc,
-                                lp_surface_measure, smooth_lp_density)
-from gaussmink.geometry import body_hausdorff_distance, disc_polygon
+from gaussmink.gaussian import (field_gauss_volume, gauss_constants,
+                                gauss_volume, gauss_volume_exact,
+                                gauss_volume_mc, lp_surface_measure,
+                                smooth_lp_density)
+from gaussmink.geometry import (DiscreteMeasure, body_hausdorff_distance,
+                                disc_polygon)
 from gaussmink.serialize import dumps_json, measure_to_dict
 from gaussmink.smooth import constant_branch_start, solve_homotopy
 from gaussmink.verify import check_variational_formula, run_suite
@@ -108,6 +110,32 @@ def test_smooth_solver_constant_cos_refinement_and_mass_refusal():
     with pytest.raises(MassBoundError):
         solve_homotopy(heavy, 1.0)
     assert time.monotonic() - start < 120.0
+
+
+@pytest.mark.parametrize("p, constant", [(1.0, 3.30685), (1.5, 2.9290), (2.0, 2.6227)])
+def test_discrete_and_smooth_solvers_share_the_continuum_limit(p, constant):
+    # The grid measure m_j = f(theta_j) 2pi/N of a smooth density, solved by
+    # the discrete solver at the smooth body's Gaussian volume, gives the
+    # smooth body up to O(N^-2).  N^2 max|h_d - h_s| is the measured constant
+    # to 5 digits for N = 128-4096; the margin is 1 %.  lambda/p - 1 falls
+    # like N^-2 too (-8.09e-5, -2.02e-5, -5.06e-6, -1.26e-6 at p = 1).
+    start = time.monotonic()
+    defects = []
+    for n in (128, 256, 512, 1024):
+        f = cos_density(n, 0.045, 0.2, 2)
+        smooth = solve_homotopy(f, p)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                             f * (2.0 * np.pi / n))
+        report = solve_constrained(VariationalProblem(
+            mu, p, target_volume=field_gauss_volume(smooth.body)))
+        assert report.body.num_edges == n
+        error = float(np.max(np.abs(report.body.support - smooth.body.h)))
+        assert n * n * error == pytest.approx(constant, rel=0.01)
+        defects.append(report.multiplier / p - 1.0)
+    ratios = np.array(defects[:-1]) / np.array(defects[1:])
+    assert np.all((3.6 < ratios) & (ratios < 4.4)), ratios  # fourfold, 10 %
+    assert time.monotonic() - start < 10.0
 
 
 def test_two_homotopy_starts_reach_the_same_body():

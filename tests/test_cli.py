@@ -170,7 +170,7 @@ class TestTextFormats:
         kv = parse_kv(serialize.report_text(report))
         assert kv["multiplier"] == "2"
         assert kv["iterations"] == "7"
-        assert kv["outer_rounds"] == "2"
+        assert "outer_rounds" not in kv  # iterations is the step count
         assert kv["flags"] == "a;b"
 
 
@@ -196,7 +196,7 @@ class TestBoundarySvg:
         np.testing.assert_allclose(radii, 2.0, rtol=1e-5)
 
     def test_accepts_field(self):
-        field = SupportField(64, np.full(64, 1.3))
+        field = SupportField(np.full(64, 1.3))
         svg = serialize.boundary_svg(field)
         assert "<polyline" in svg
 

@@ -333,7 +333,7 @@ class TestEdgeMeasures:
 class TestSmoothDensity:
     def test_constant_field_values(self):
         N = 128
-        fld = SupportField(N, np.full(N, 1.5))
+        fld = SupportField(np.full(N, 1.5))
         np.testing.assert_allclose(smooth_lp_density(fld, 1.0),
                                    constant_field_density(1.5, 1.0), atol=1e-15)
         assert constant_field_density(1.5, 1.0) == pytest.approx(0.077505067450592339,
@@ -341,7 +341,7 @@ class TestSmoothDensity:
 
     def test_r_half_density(self):
         N = 128
-        fld = SupportField(N, np.full(N, R_HALF))
+        fld = SupportField(np.full(N, R_HALF))
         np.testing.assert_allclose(smooth_lp_density(fld, 1.0),
                                    R_HALF / (4.0 * math.pi), atol=1e-15)
         assert R_HALF / (4.0 * math.pi) == pytest.approx(0.09369531256463879, abs=1e-15)
@@ -351,7 +351,7 @@ class TestSmoothDensity:
         N = 512
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 1.4 + 0.15 * np.cos(2.0 * theta) + 0.05 * np.sin(3.0 * theta)
-        fld = SupportField(N, h)
+        fld = SupportField(h)
         from gaussmink.geometry import field_to_polygon
         for p in (1.0, 2.0):
             total_smooth = smooth_lp_density(fld, p).mean() * 2.0 * np.pi
@@ -362,14 +362,14 @@ class TestSmoothDensity:
 class TestFieldGaussVolume:
     def test_constant_is_ball_volume(self):
         N = 256
-        fld = SupportField(N, np.full(N, R_HALF))
+        fld = SupportField(np.full(N, R_HALF))
         assert field_gauss_volume(fld) == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_polygon_quadrature(self):
         N = 512
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 1.3 + 0.2 * np.cos(2.0 * theta)
-        fld = SupportField(N, h)
+        fld = SupportField(h)
         from gaussmink.geometry import field_to_polygon
         quad = gauss_volume(field_to_polygon(fld), 16384)
         assert field_gauss_volume(fld) == pytest.approx(quad, abs=1e-5)

@@ -291,7 +291,7 @@ class TestSupportPolygonValidation:
     def test_caller_arrays_stay_writable(self):
         # each constructor freezes its own copy, not the caller's array
         normals, h, masses = box_polygon(1.0).normals, np.ones(4), np.full(4, 0.1)
-        body, fld = SupportPolygon(normals, h), SupportField(4, h)
+        body, fld = SupportPolygon(normals, h), SupportField(h)
         mu = DiscreteMeasure(2, normals, masses)
         h[0], masses[0] = 2.0, 0.2
         assert body.support[0] == fld.h[0] == 1.0 and mu.masses[0] == 0.1
@@ -589,14 +589,14 @@ class TestSupportField:
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 1.0 + 0.9 * np.cos(8.0 * theta)  # (D2 h + h) dips negative
         with pytest.raises(ConvexityError) as exc:
-            SupportField(N, h)
+            SupportField(h)
         assert 0 <= exc.value.node < N
         assert exc.value.value <= 0.0
 
     def test_differences_of_harmonic(self):
         N = 128
         theta = 2.0 * np.pi * np.arange(N) / N
-        fld = SupportField(N, 2.0 + 0.3 * np.cos(theta))
+        fld = SupportField(2.0 + 0.3 * np.cos(theta))
         step = fld.step
         # central difference of cos(theta) is -sin(theta) sin(step)/step exactly
         np.testing.assert_allclose(fld.slope, -0.3 * np.sin(theta) * np.sinc(2.0 / N),
@@ -615,11 +615,19 @@ class TestSupportField:
         N = 256
         theta = 2.0 * np.pi * np.arange(N) / N
         h = 2.0 + 0.2 * np.cos(3.0 * theta)  # h'' + h = 2 - 1.6 cos > 0
-        fld = SupportField(N, h)
+        fld = SupportField(h)
         P = field_to_polygon(fld)
         assert P.num_edges == N
         np.testing.assert_allclose(support_profile(P, P.normals), h, atol=1e-12)
 
+    def test_grid_size_is_the_sample_length(self):
+        fld = SupportField(np.full(96, 1.5))
+        assert fld.resolution == len(fld.h) == 96
+        assert fld.step == 2.0 * np.pi / 96
+        for h in (np.full((8, 8), 1.5), 1.5, []):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                SupportField(h)
+
     def test_positive_values_required(self):
         with pytest.raises(ValueError):
-            SupportField(64, np.full(64, -1.0))
+            SupportField(np.full(64, -1.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussmink import smooth
-from gaussmink.discrete import VariationalProblem
+from gaussmink.discrete import VariationalProblem, solve_constrained
 from gaussmink.errors import (
     MassBoundError,
     NoConstantSolutionError,
@@ -18,6 +18,7 @@ from gaussmink.families import cos_density, uniform_mgon_measure
 from gaussmink.gaussian import constant_field_density, gauss_constants, smooth_lp_density
 from gaussmink.geometry import (TWO_PI, SupportField, body_hausdorff_distance,
                                 field_to_polygon)
+from gaussmink.report import certificate_flags
 from gaussmink.smooth import (
     HomotopyStep,
     _jacobian_bands,
@@ -44,7 +45,7 @@ def grid(n):
 
 def harmonics_field(n=64):
     theta = grid(n)
-    return SupportField(n, 1.8 + 0.1 * np.cos(2 * theta) + 0.05 * np.sin(3 * theta))
+    return SupportField(1.8 + 0.1 * np.cos(2 * theta) + 0.05 * np.sin(3 * theta))
 
 
 class TestConstantBranchStart:
@@ -107,14 +108,14 @@ class TestLinearizedGuard:
 class TestResidual:
     def test_constant_solution_zero(self):
         c0 = constant_field_density(2.0, 1.0)
-        fld = SupportField(128, np.full(128, 2.0))
+        fld = SupportField(np.full(128, 2.0))
         assert np.max(np.abs(residual(fld, np.full(128, c0), 1.0))) <= 1e-14
 
     def test_constant_field_cos_target(self):
         # density of a constant field is flat, so the defect is minus the ripple
         c0 = constant_field_density(2.0, 1.0)
         f = cos_density(128, c0, 0.2, 2)
-        fld = SupportField(128, np.full(128, 2.0))
+        fld = SupportField(np.full(128, 2.0))
         expected = -0.2 * c0 * np.cos(2 * grid(128))
         np.testing.assert_allclose(residual(fld, f, 1.0), expected, atol=1e-16)
 
@@ -141,8 +142,8 @@ class TestJacobian:
             hm = fld.h.copy()
             hp[j] += eps
             hm[j] -= eps
-            col = (smooth_lp_density(SupportField(n, hp), p)
-                   - smooth_lp_density(SupportField(n, hm), p)) / (2.0 * eps)
+            col = (smooth_lp_density(SupportField(hp), p)
+                   - smooth_lp_density(SupportField(hm), p)) / (2.0 * eps)
             dense = np.zeros(n)
             dense[j] = diag[j]
             dense[(j + 1) % n] = sub[(j + 1) % n]
@@ -173,7 +174,7 @@ class TestJacobian:
         # at h = r0 the scaled Jacobian is circulant with symbol
         # (2 - p) - r0^2 - k^2 (discrete Laplacian modes)
         r0, p, n = 1.5, 1.0, 64
-        fld = SupportField(n, np.full(n, r0))
+        fld = SupportField(np.full(n, r0))
         sub, diag, sup = _jacobian_bands(fld, p)
         J = np.zeros((n, n))
         for k in range(n):
@@ -202,7 +203,7 @@ class TestNewtonStep:
 
     def test_weak_quadratic_convergence(self):
         f = cos_density(64, 0.045, 0.2, 2)
-        fld = SupportField(64, np.full(64, 2.0))
+        fld = SupportField(np.full(64, 2.0))
         defect = residual(fld, f, 1.0)
         norms = [float(np.max(np.abs(defect)))]
         for _ in range(8):
@@ -220,7 +221,7 @@ class TestNewtonStep:
 
     def test_singular_linearization_raises(self):
         # h = 1, p = 1 puts the k = 0 mode exactly in the kernel
-        fld = SupportField(64, np.ones(64))
+        fld = SupportField(np.ones(64))
         f = cos_density(64, constant_field_density(1.0, 1.0), 0.1, 2)
         with pytest.raises(SolverStallError):
             newton_step(fld, f, 1.0, residual(fld, f, 1.0))
@@ -253,6 +254,16 @@ class TestSolveHomotopy:
         assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert rep.iterations == 0
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-14)
+
+    def test_start_takes_no_newton_step(self):
+        # at p = 0.5 the start's residual is rounding (about 7e-18), above
+        # this newton_tol, yet t = 0 is recorded without a Newton step and
+        # the first stall is on the rung t = 0.25
+        with pytest.raises(RoundingFloorError) as info:
+            solve_homotopy(cos_density(256, 0.02, 0.2, 2), 0.5, newton_tol=1e-300)
+        [start] = info.value.trace
+        assert (start.t, start.newton_iters) == (0.0, 0)
+        assert start.residual > 1e-300
 
     def test_constant_target_from_default_start(self):
         level = constant_field_density(2.0, 1.0)
@@ -382,6 +393,20 @@ class TestSolveHomotopy:
         assert "no-uniqueness-certificate" in rep.flags
         assert rep.stationarity_residual <= 1e-9
 
+    def test_both_solvers_state_the_certificate_regime_alike(self):
+        # one rule, certificate_flags, for the smooth and the discrete solver
+        assert certificate_flags(1.0, True, True) == []
+        assert certificate_flags(2.0, True, False) == ["no-uniqueness-certificate"]
+        assert certificate_flags(0.7, False, True) == ["uncertified",
+                                                       "no-uniqueness-certificate"]
+        theta = grid(256)
+        odd = 0.045 * (1.0 + 0.2 * np.cos(theta))
+        pentagon = uniform_mgon_measure(5, 0.3)  # five atoms: not even
+        for p in (0.7, 1.5):
+            expected = tuple(certificate_flags(p, False, True))
+            assert solve_homotopy(odd, p).flags == expected
+            assert solve_constrained(VariationalProblem(pentagon, p)).flags == expected
+
     def test_input_validation(self):
         for n in (50, 63, 32):  # grid below the floor, or odd
             with pytest.raises(ValueError, match="even integer >= 64"):
@@ -398,7 +423,7 @@ class TestSolveHomotopy:
     def test_ellipse_field_to_polygon_support(self):
         theta = grid(256)
         h = np.sqrt(np.cos(theta) ** 2 + 4.0 * np.sin(theta) ** 2)
-        fld = SupportField(256, h)
+        fld = SupportField(h)
         poly = field_to_polygon(fld)
         assert poly.num_edges == 256
         np.testing.assert_allclose(np.sort(poly.support), np.sort(h), atol=1e-12)
@@ -427,7 +452,7 @@ class TestRoundingFloor:
 
     def test_floor_estimate_scales_like_n_squared(self):
         r, p = 1.8, 1.5
-        floors = [_rounding_floor(SupportField(n, np.full(n, r)), p)
+        floors = [_rounding_floor(SupportField(np.full(n, r)), p)
                   for n in (1024, 2048)]
         assert floors[1] == pytest.approx(4.0 * floors[0], rel=1e-12)
         step = 2.0 * np.pi / 1024
