@@ -4,8 +4,7 @@ and a property-checking suite for the underlying inequalities."""
 
 from .discrete import VariationalProblem, recover_multiplier, solve_constrained
 from .errors import (ConvexityError, HemisphereConditionError, MassBoundError,
-                     NoConstantSolutionError, RoundingFloorError,
-                     SolverStallError, UnboundedBodyError, WrongBranchError)
+                     RoundingFloorError, SolverStallError, UnboundedBodyError)
 from .gaussian import (GaussConstants, gauss_constants, gauss_surface_polygon,
                        gauss_volume, gauss_volume_exact, gauss_volume_mc,
                        lp_gauss_surface_polygon, lp_surface_measure,
@@ -16,8 +15,7 @@ from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
                        disc_polygon, field_to_polygon, lp_combination,
                        wulff_shape)
 from .report import SolveReport
-from .smooth import (HomotopyStep, constant_branch_start, linearized_guard,
-                     solve_homotopy)
+from .smooth import HomotopyStep, linearized_guard, solve_homotopy
 from .verify import (CheckResult, check_ball_bound, check_ehrhard,
                      check_isoperimetric, check_log_concavity,
                      check_mixed_measure_inequality, check_uniqueness,
@@ -28,13 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "ConvexityError", "DiscreteMeasure", "GaussConstants",
     "HemisphereConditionError", "HomotopyStep",
-    "MassBoundError", "NoConstantSolutionError", "RoundingFloorError",
+    "MassBoundError", "RoundingFloorError",
     "SolveReport", "SolverStallError", "SupportField", "SupportPolygon",
-    "UnboundedBodyError", "VariationalProblem", "WrongBranchError",
+    "UnboundedBodyError", "VariationalProblem",
     "body_hausdorff_distance", "box_polygon", "check_ball_bound",
     "check_ehrhard", "check_isoperimetric", "check_log_concavity",
     "check_mixed_measure_inequality", "check_uniqueness",
-    "check_variational_formula", "combine_bodies", "constant_branch_start",
+    "check_variational_formula", "combine_bodies",
     "disc_polygon", "field_to_polygon", "format_table", "gauss_constants",
     "gauss_surface_polygon", "gauss_volume", "gauss_volume_exact",
     "gauss_volume_mc", "linearized_guard", "lp_combination",

@@ -68,6 +68,7 @@ from .geometry import (
     hemisphere_margin,
     wulff_shape_with_indices,
     _angles_of,
+    _nearest_angle,
     _rotate,
 )
 from .report import SolveReport, certificate_flags
@@ -127,16 +128,8 @@ def recover_multiplier(body: SupportPolygon, mu: DiscreteMeasure,
     |p m_i - lambda S_{p,i}| / (p m_i)).
     """
     sp = lp_gauss_surface_polygon(body, p)
-    body_angles, atom_angles = body.normal_angles, _angles_of(mu.directions)
-    # The facet nearest to atom i is one of the two whose angles bracket it;
-    # body normals are strictly sorted by angle.
-    pos = np.searchsorted(body_angles, atom_angles)
-    cand = np.stack([pos - 1, pos % body.num_edges])
-    gap = np.abs(atom_angles - body_angles[cand])
-    gap = np.minimum(gap, TWO_PI - gap)
-    pick = np.argmin(gap, axis=0)
-    cols = np.arange(mu.num_atoms)
-    s = np.where(gap[pick, cols] <= 1e-9, sp[cand[pick, cols]], 0.0)
+    near, gap = _nearest_angle(body.normal_angles, _angles_of(mu.directions))
+    s = np.where(gap <= 1e-9, sp[near], 0.0)
     if not np.any(s > 0.0):
         raise ValueError("no atom matches a facet with positive mass")
     target = p * mu.masses

@@ -29,14 +29,6 @@ class ConvexityError(ValueError):
         super().__init__(f"convexity surrogate h''+h = {value:.6g} <= 0 at node {node}")
 
 
-class NoConstantSolutionError(ValueError):
-    """Constant right-hand side exceeds the maximum of r^(2-p) e^(-r^2/2) / 2pi."""
-
-
-class WrongBranchError(ValueError):
-    """The constant solution exists but its ball has Gaussian volume <= 1/2."""
-
-
 class SolverStallError(RuntimeError):
     """Iteration failed to converge; carries the trace accumulated so far."""
 

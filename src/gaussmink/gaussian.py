@@ -14,8 +14,9 @@ relative; for tiny bodies the per-sector cancellation leaves an absolute error
 near 1e-17.  An independent Monte Carlo route (the fraction of standard normal
 draws landing inside the body) cross-checks both.
 
-Ball volumes and the reference constants keep a dimension argument n, with
-gamma_n(r B) the regularized lower incomplete gamma function P(n/2, r^2/2).
+Only ball_radius keeps a dimension argument n: it inverts gamma_n(r B) =
+P(n/2, r^2/2), the regularized lower incomplete gamma function, for the
+reference constants of any dimension.
 
 The surface area measure of a polygon concentrates on its edge normals; the
 mass of an edge at distance h from the origin is the exact one-dimensional
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .geometry import (
     TWO_PI,
@@ -78,13 +78,6 @@ def std_normal_quantile(q):
         raise ValueError("quantile argument must lie strictly between 0 and 1")
     x = special.ndtri(q_arr)
     return float(x) if q_arr.ndim == 0 else x
-
-
-def ball_gauss_volume(r, n: int = 2):
-    """gamma_n(r B) = P(n/2, r^2/2); for n = 2 equals 1 - e^{-r^2/2}."""
-    r = np.asarray(r, dtype=float)
-    out = special.gammainc(0.5 * n, 0.5 * r * r)
-    return float(out) if out.ndim == 0 else out
 
 
 def ball_radius(v: float, n: int = 2) -> float:
@@ -139,25 +132,37 @@ def _dilate_volume(body: SupportPolygon):
 def scale_to_gauss_volume(body: SupportPolygon, target: float = 0.5) -> SupportPolygon:
     """Scalar rescale of a body so its Gaussian volume hits `target`.
 
-    The map s -> gamma(s K) is strictly increasing from 0 to 1, so a
-    bracketed root-find on the scale factor always succeeds.  A dilation
-    preserves every angle, so the root-find evaluates only Owen's T at the
-    scaled supports s h and builds one body, at the root.
+    In x = s^2 the volume gamma(sqrt(x) K) = (1/2pi) int (1 - e^{-x rho^2/2})
+    dtheta is increasing and concave, as each integrand is.  So every tangent
+    lies above the graph, and Newton's method on x, started below the root,
+    never passes it: it climbs monotonically and stops once a step no longer
+    increases x.  The start halves s from 1 until the volume is at most the
+    target.  The slope is d gamma / dx = sum_i h_i g_i(sK) / 2s, with
+    g_i(sK) the edge masses of the dilated body.  A dilation preserves every
+    angle, so the iteration evaluates only the scaled supports s h and builds
+    one body, at the root.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target volume must lie strictly between 0 and 1")
     volume = _dilate_volume(body)
-    lo, hi = 1.0, 1.0
-    while volume(lo) > target:
-        lo *= 0.5
-        if lo < 1e-12:
+    h, ends = body.support, np.stack([body.t1, body.t0])
+    x, gamma = 1.0, volume(1.0)
+    while gamma > target:
+        x *= 0.25
+        if x < 1e-24:
             raise ValueError("rescale bracket collapsed at the lower end")
-    while volume(hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
+        gamma = volume(math.sqrt(x))
+    while True:
+        s = math.sqrt(x)
+        cdf = special.ndtr(s * ends)  # Phi at the edge ends of sK
+        masses = np.exp(-0.5 * x * h * h) * (cdf[0] - cdf[1]) / SQRT_TWO_PI
+        x_next = x + 2.0 * s * (target - gamma) / float(h @ masses)
+        if not x_next > x:
+            return scale_body(body, s)
+        x = x_next
+        if x > 1e24:
             raise ValueError("rescale bracket collapsed at the upper end")
-    s = brentq(lambda u: volume(u) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return scale_body(body, s)
+        gamma = volume(math.sqrt(x))
 
 
 def _inside_polygon(body: SupportPolygon, points: np.ndarray) -> np.ndarray:

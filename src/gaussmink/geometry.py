@@ -16,7 +16,9 @@ lookups are a binary search over vertex angles rather than a scan over edges.
 
 Also here: discrete measures on the circle with the closed-half-circle
 spanning test, and periodic support-function samples on the circle, which
-hold the one copy of the central-difference stencil.
+hold the one copy of the central-difference stencil.  These records hold
+arrays, whose elementwise == has no truth value, so they compare and hash
+by identity (eq=False).
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ def _check_support(support: np.ndarray, m: int) -> None:
         raise ValueError("support values must be positive (origin interior)")
 
 
+def _nearest_angle(sorted_angles: np.ndarray, angles: np.ndarray):
+    """(index, gap): for each angle, the position in sorted_angles of the
+    nearest one and the angular distance to it.  The nearest is one of the
+    two sorted angles that bracket the angle, cyclically."""
+    pos = np.searchsorted(sorted_angles, angles)
+    cand = np.stack([pos - 1, pos % len(sorted_angles)])
+    gap = np.abs(angles - sorted_angles[cand])
+    gap = np.minimum(gap, TWO_PI - gap)
+    pick, cols = np.argmin(gap, axis=0), np.arange(len(angles))
+    return cand[pick, cols], gap[pick, cols]
+
+
 def _rotate(a: np.ndarray, k: int) -> np.ndarray:
     """np.roll(a, -k, axis=0) for k = 1 or -1, without its overhead on short arrays."""
     return np.concatenate([a[k:], a[:k]])
@@ -73,7 +87,7 @@ def _freeze(obj, **arrays: np.ndarray) -> None:
         object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPolygon:
     """Planar convex body with the origin interior, in canonical edge form.
 
@@ -106,12 +120,12 @@ class SupportPolygon:
 
     normals: np.ndarray
     support: np.ndarray
-    turn_cos: np.ndarray = field(init=False, repr=False, compare=False)
-    turn_sin: np.ndarray = field(init=False, repr=False, compare=False)
-    bend: np.ndarray = field(init=False, repr=False, compare=False)
-    t0: np.ndarray = field(init=False, repr=False, compare=False)
-    t1: np.ndarray = field(init=False, repr=False, compare=False)
-    vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    turn_cos: np.ndarray = field(init=False, repr=False)
+    turn_sin: np.ndarray = field(init=False, repr=False)
+    bend: np.ndarray = field(init=False, repr=False)
+    t0: np.ndarray = field(init=False, repr=False)
+    t1: np.ndarray = field(init=False, repr=False)
+    vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         normals = _as_unit_rows(self.normals, tol=_UNIT_TOL)
@@ -383,7 +397,7 @@ def body_hausdorff_distance(K: SupportPolygon, L: SupportPolygon) -> float:
     return float(np.max(np.abs(_support_values(K, dirs) - _support_values(L, dirs))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finite positive measure on the circle given by (direction, mass) atoms.
 
@@ -420,19 +434,15 @@ class DiscreteMeasure:
         return float(self.masses.sum())
 
     def is_even(self) -> bool:
-        """True when atoms come in antipodal pairs of equal mass (to 1e-9)."""
-        d, m = self.directions, self.masses
-        # The atom nearest to -d_i is one of the two whose angles bracket the
-        # antipodal angle, so a sort finds it in O(k log k).
-        ang = _angles_of(d)
+        """True when atoms come in antipodal pairs of equal mass: the atom
+        nearest each antipode lies within 1e-9 in angle and its mass within
+        1e-9 relative."""
+        m, ang = self.masses, _angles_of(self.directions)
         order = np.argsort(ang)
-        pos = np.searchsorted(ang[order], np.mod(ang + math.pi, TWO_PI))
-        cand = order[np.stack([pos - 1, pos % len(d)])]
-        dist = np.linalg.norm(d[None, :, :] + d[cand], axis=2)
-        pick = np.argmin(dist, axis=0)
-        partner, gap = cand[pick, np.arange(len(d))], dist.min(axis=0)
+        near, gap = _nearest_angle(ang[order], np.mod(ang + math.pi, TWO_PI))
         if np.any(gap > 1e-9):
             return False
+        partner = order[near]
         return bool(np.all(np.abs(m - m[partner]) <= 1e-9 * np.maximum(m, m[partner])))
 
 
@@ -461,7 +471,7 @@ def hemisphere_margin(mu: DiscreteMeasure) -> float:
     return float(np.min(inside[:, 1] * np.cos(s) - inside[:, 0] * np.sin(s)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportField:
     """Periodic sample of a support function h on the circle.
 
@@ -477,8 +487,8 @@ class SupportField:
     """
 
     h: np.ndarray
-    slope: np.ndarray = field(init=False, repr=False, compare=False)
-    curvature: np.ndarray = field(init=False, repr=False, compare=False)
+    slope: np.ndarray = field(init=False, repr=False)
+    curvature: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float)

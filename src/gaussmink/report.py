@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import SupportField, SupportPolygon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a constrained solve.
 
@@ -20,7 +20,8 @@ class SolveReport:
     for the discrete path; objective_trace records the objective phi at the
     start and after each accepted Newton step of the discrete path (so it
     has iterations + 1 entries) and is empty for the smooth one.  flags
-    carry diagnostics such as "no-uniqueness-certificate".
+    carry diagnostics such as "no-uniqueness-certificate".  Like the body
+    it holds, a report compares and hashes by identity.
     """
 
     body: SupportPolygon | SupportField

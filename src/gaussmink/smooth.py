@@ -30,17 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.optimize import brentq
 
-from .errors import (
-    MassBoundError,
-    NoConstantSolutionError,
-    RoundingFloorError,
-    SolverStallError,
-    WrongBranchError,
-)
+from .errors import MassBoundError, RoundingFloorError, SolverStallError
 from .gaussian import (
-    ball_gauss_volume,
     constant_field_density,
     field_gauss_volume,
     gauss_constants,
@@ -93,47 +85,6 @@ class HomotopyStep:
             raise ValueError("accepted step must have positive convexity surrogate")
         if not self.gauss_volume > 0.5:
             raise ValueError("accepted step must have Gaussian volume above 1/2")
-
-
-def constant_branch_start(c0: float, p: float) -> float:
-    """Radius of the constant solution h = r0 on the volume > 1/2 branch.
-
-    Solves (1/2pi) r^(2-p) e^{-r^2/2} = c0 for the largest root.  For p < 2
-    the left side peaks at r = sqrt(2-p); for p >= 2 it is strictly
-    decreasing.  The root must exceed the half-volume radius so the starting
-    ball carries Gaussian volume above 1/2.
-    """
-    if c0 <= 0.0 or not math.isfinite(c0):
-        raise ValueError("c0 must be positive and finite")
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"p must be positive and finite, got p = {p:g}")
-    if p < 2.0:
-        lo = math.sqrt(2.0 - p)
-        if c0 >= constant_field_density(lo, p):
-            raise NoConstantSolutionError(
-                f"c0 = {c0:.6g} is not below the peak density "
-                f"{constant_field_density(lo, p):.6g} at r = {lo:.6g}"
-            )
-    else:
-        lo = 1e-8
-        if c0 >= constant_field_density(lo, p):
-            raise NoConstantSolutionError(
-                f"c0 = {c0:.6g} exceeds the constant density map near r = 0"
-            )
-    hi = max(2.0 * lo, 1.0)
-    while constant_field_density(hi, p) >= c0:
-        hi *= 2.0
-        if hi > 64.0:
-            raise NoConstantSolutionError("no radius matches c0 below r = 64")
-    r0 = brentq(lambda r: constant_field_density(r, p) - c0, lo, hi,
-                xtol=1e-14, rtol=8.9e-16)
-    r_half = gauss_constants(2, p).r_half
-    if r0 <= r_half:
-        raise WrongBranchError(
-            f"largest root r0 = {r0:.6g} has Gaussian volume "
-            f"{ball_gauss_volume(r0):.6g} <= 1/2"
-        )
-    return float(r0)
 
 
 def linearized_guard(r0: float, p: float, resolution: int) -> bool:

@@ -17,14 +17,14 @@ from gaussmink.discrete import VariationalProblem, solve_constrained
 from gaussmink.errors import MassBoundError
 from gaussmink.families import (cos_density, hemisphere_bad_measure,
                                 random_polygon)
-from gaussmink.gaussian import (field_gauss_volume, gauss_constants,
-                                gauss_volume, gauss_volume_exact,
-                                gauss_volume_mc, lp_surface_measure,
-                                smooth_lp_density)
+from gaussmink.gaussian import (constant_field_density, field_gauss_volume,
+                                gauss_constants, gauss_volume,
+                                gauss_volume_exact, gauss_volume_mc,
+                                lp_surface_measure, smooth_lp_density)
 from gaussmink.geometry import (DiscreteMeasure, body_hausdorff_distance,
                                 disc_polygon)
 from gaussmink.serialize import dumps_json, measure_to_dict
-from gaussmink.smooth import constant_branch_start, solve_homotopy
+from gaussmink.smooth import solve_homotopy
 from gaussmink.verify import check_variational_formula, run_suite
 
 
@@ -92,9 +92,10 @@ def test_smooth_solver_constant_cos_refinement_and_mass_refusal():
     start = time.monotonic()
     # constant data: the solution is the constant field on the outer branch
     c0 = 0.045
-    r0 = constant_branch_start(c0, 1.0)
-    report = solve_homotopy(np.full(256, c0), 1.0)
-    assert np.max(np.abs(report.body.h - r0)) <= 1e-8
+    h = solve_homotopy(np.full(256, c0), 1.0).body.h
+    assert np.ptp(h) == 0.0
+    assert abs(constant_field_density(h[0], 1.0) - c0) <= 1e-11
+    assert h[0] > gauss_constants(2, 1.0).r_half
 
     n = 512
     for p, level in ((1.0, 0.045), (2.0, 0.030)):

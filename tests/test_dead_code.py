@@ -31,8 +31,6 @@ ALLOWED = {
                              "closed-form ball volumes",
     "gaussian.gauss_volume_mc": "Monte Carlo reference the exact Gaussian volume "
                                 "is tested against",
-    "smooth.constant_branch_start": "closed-form constant solution the homotopy's "
-                                    "constant densities are tested against",
     "smooth.linearized_guard": "eigenvalue test of the constant start's linearization; "
                                "bench/tracer.py resolves it by name",
 }

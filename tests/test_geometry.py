@@ -28,6 +28,7 @@ from gaussmink.geometry import (
 )
 from gaussmink.geometry import (_ANGLE_DEDUP_TOL, _COLLINEAR_TOL, _angles_of, _as_unit_rows,
                                 _reduce_halfplanes)
+from gaussmink.report import SolveReport
 
 
 def random_body(seed, max_normals=40):
@@ -570,6 +571,13 @@ class TestDiscreteMeasure:
         tripod = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]), np.ones(3))
         assert not tripod.is_even()
 
+    @pytest.mark.parametrize("offset,even", [(5e-10, True), (2e-9, False)])
+    def test_evenness_window_is_an_angle(self, offset, even):
+        theta = np.array([0.1, 0.1 + math.pi + offset, 1.7, 1.7 + math.pi])
+        mu = DiscreteMeasure(2, np.column_stack([np.cos(theta), np.sin(theta)]),
+                             np.array([0.2, 0.2, 0.5, 0.5]))
+        assert mu.is_even() is even
+
     def test_pre_solve_checks_use_linear_memory(self):
         mu = uniform_mgon_measure(4096, 0.3)
         tracemalloc.start()
@@ -631,3 +639,16 @@ class TestSupportField:
     def test_positive_values_required(self):
         with pytest.raises(ValueError):
             SupportField(np.full(64, -1.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: box_polygon(1.0),
+    lambda: DiscreteMeasure(2, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.ones(3)),
+    lambda: SupportField(np.full(64, 1.5)),
+    lambda: SolveReport(SupportField(np.full(64, 1.5)), 1.0, 0.0, 0.0, 0),
+], ids=["SupportPolygon", "DiscreteMeasure", "SupportField", "SolveReport"])
+def test_array_records_compare_and_hash_by_identity(build):
+    # equal values, distinct objects: the generated == would compare arrays
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

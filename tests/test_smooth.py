@@ -7,13 +7,7 @@ import pytest
 
 from gaussmink import smooth
 from gaussmink.discrete import VariationalProblem, solve_constrained
-from gaussmink.errors import (
-    MassBoundError,
-    NoConstantSolutionError,
-    RoundingFloorError,
-    SolverStallError,
-    WrongBranchError,
-)
+from gaussmink.errors import MassBoundError, RoundingFloorError, SolverStallError
 from gaussmink.families import cos_density, uniform_mgon_measure
 from gaussmink.gaussian import constant_field_density, gauss_constants, smooth_lp_density
 from gaussmink.geometry import (TWO_PI, SupportField, body_hausdorff_distance,
@@ -23,7 +17,6 @@ from gaussmink.smooth import (
     HomotopyStep,
     _jacobian_bands,
     _rounding_floor,
-    constant_branch_start,
     linearized_guard,
     newton_step,
     residual,
@@ -31,8 +24,6 @@ from gaussmink.smooth import (
     solve_homotopy,
 )
 
-# peak of r e^{-r^2/2} / 2pi at r = 1: e^{-1/2} / 2pi
-PEAK_DENSITY_P1 = 0.09653235263005391
 # half-volume radius sqrt(2 ln 2), the floor of the constant-start window at p = 1
 R_HALF_P1 = gauss_constants(2, 1.0).r_half
 # closed-form root for p = 2, c0 = 1/(8 pi): sqrt(2 ln 4)
@@ -48,41 +39,26 @@ def harmonics_field(n=64):
     return SupportField(1.8 + 0.1 * np.cos(2 * theta) + 0.05 * np.sin(3 * theta))
 
 
-class TestConstantBranchStart:
-    def test_forward_evaluated_root(self):
-        c0 = constant_field_density(1.5, 1.0)
-        assert constant_branch_start(c0, 1.0) == pytest.approx(1.5, rel=1e-12)
+# constant densities c0 with the closed-form radius and Gaussian volume of
+# their solution on the volume > 1/2 branch: (c0, p, radius, volume)
+CONSTANT_CASES = {
+    "p1": (constant_field_density(2.0, 1.0), 1.0, 2.0, -math.expm1(-2.0)),
+    "p2": (1.0 / (8.0 * math.pi), 2.0, ROOT_P2_QUARTER, 0.75),
+    "p0.5": (constant_field_density(2.2, 0.5), 0.5, 2.2, -math.expm1(-2.42)),
+}
 
-    def test_p2_closed_form(self):
-        r0 = constant_branch_start(1.0 / (8.0 * math.pi), 2.0)
-        assert r0 == pytest.approx(ROOT_P2_QUARTER, rel=1e-12)
-        assert -math.expm1(-0.5 * r0 * r0) == pytest.approx(0.75, rel=1e-12)
 
-    def test_peak_value_has_no_solution(self):
-        with pytest.raises(NoConstantSolutionError):
-            constant_branch_start(PEAK_DENSITY_P1, 1.0)
-        with pytest.raises(NoConstantSolutionError):
-            constant_branch_start(0.2, 1.0)
-
-    def test_p2_above_sup_has_no_solution(self):
-        with pytest.raises(NoConstantSolutionError):
-            constant_branch_start(1.0 / (2.0 * math.pi) + 1e-3, 2.0)
-
-    def test_low_volume_root_is_wrong_branch(self):
-        # largest root 1.1 lies between the peak and the half-volume radius
-        with pytest.raises(WrongBranchError):
-            constant_branch_start(constant_field_density(1.1, 1.0), 1.0)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            constant_branch_start(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            constant_branch_start(0.05, 0.0)
-
-    def test_nan_exponent_refused(self):
-        # every comparison with NaN is false, so `p <= 0` let it on to brentq
-        with pytest.raises(ValueError, match="p must be positive"):
-            constant_branch_start(0.05, math.nan)
+class TestConstantSolves:
+    @pytest.mark.parametrize("n", [64, 256, 4096])
+    @pytest.mark.parametrize("case", CONSTANT_CASES)
+    def test_solution_is_the_closed_form_ball(self, case, n):
+        # the solve starts from the window midpoint, not from this radius
+        c0, p, radius, volume = CONSTANT_CASES[case]
+        report = solve_homotopy(np.full(n, c0), p)
+        h = report.body.h
+        assert np.ptp(h) == 0.0
+        assert h[0] == pytest.approx(radius, rel=1e-10)
+        assert report.volume_residual + 0.5 == pytest.approx(volume, rel=1e-9)
 
 
 class TestLinearizedGuard:
@@ -335,8 +311,7 @@ class TestSolveHomotopy:
     @pytest.mark.parametrize("call", [
         lambda: VariationalProblem(uniform_mgon_measure(8, 0.3), math.inf),
         lambda: solve_homotopy(np.full(64, 0.045), math.inf),
-        lambda: constant_branch_start(0.05, math.inf),
-    ], ids=["VariationalProblem", "solve_homotopy", "constant_branch_start"])
+    ], ids=["VariationalProblem", "solve_homotopy"])
     def test_infinite_exponent_refused(self, call):
         # refused on entry, not by GaussConstants as "constants must be positive"
         with pytest.raises(ValueError, match="p must be positive and finite, got p = inf"):
