@@ -87,6 +87,8 @@ class VariationalProblem:
     A target_volume below 1/2 lies off the paper's branch gamma_2 > 1/2 and
     may stall: at p = 1 a target of 0.2 stalled on 38 % of 1 283 random
     measures (5 to 200 atoms at uniform angles, masses U(0.01, 1)).
+    Few-atom regular measures stall at large p: uniform_mgon_measure(4, 0.3)
+    and (8, 0.3) hit MAX_STEPS from p = 20, the 64-gon from p = 30.
     """
 
     mu: DiscreteMeasure

@@ -20,10 +20,6 @@ from .geometry import (
     wulff_shape,
 )
 
-FAMILY_NAMES = ("uniform-mgon", "square-measure", "cos-density",
-                "random-even", "hemisphere-bad")
-
-
 def random_polygon(rng: np.random.Generator, max_edges: int = 24) -> SupportPolygon:
     """Bounded polygon of 4 to max_edges random unit normals, h in [0.6, 1.8]."""
     for _ in range(80):
@@ -125,18 +121,3 @@ def hemisphere_bad_measure(seed: int = 0) -> DiscreteMeasure:
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return DiscreteMeasure(2, dirs, rng.uniform(0.05, 0.3, 5))
 
-
-def build_family(name: str, seed: int = 0, resolution: int = 256, m: int = 8,
-                 amplitude: float = 0.2, frequency: int = 2):
-    """Named deterministic inputs for the CLI generate subcommand."""
-    if name == "uniform-mgon":
-        return uniform_mgon_measure(m, 0.3)
-    if name == "square-measure":
-        return square_surface_measure()
-    if name == "cos-density":
-        return cos_density(resolution, 0.045, amplitude, frequency)
-    if name == "random-even":
-        return random_even_measure(np.random.default_rng(seed))
-    if name == "hemisphere-bad":
-        return hemisphere_bad_measure(seed)
-    raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")

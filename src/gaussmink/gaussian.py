@@ -268,7 +268,9 @@ class GaussConstants:
     r_half is the radius with gamma_n(r B) = 1/2; a_half the half-width with
     gamma_n of the symmetric strip equal to 1/2 (dimension-free, = Psi(3/4));
     mass_bound = sqrt(2/pi) r_half^(-p) a_half e^{-a_half^2/2} is the
-    solvability threshold for the total measure.
+    solvability threshold for the total measure.  Only r_half and a_half
+    are validated: for p above about 4 550 (n = 2) r_half^(-p) underflows
+    and mass_bound rounds to 0.0, which no positive total mass is below.
     """
 
     n: int
@@ -277,8 +279,8 @@ class GaussConstants:
     a_half: float
 
     def __post_init__(self):
-        if not (self.r_half > 0.0 and self.a_half > 0.0 and self.mass_bound > 0.0):
-            raise ValueError("constants must be positive")
+        if not (self.r_half > 0.0 and self.a_half > 0.0 and math.isfinite(self.p)):
+            raise ValueError("constants must be positive, and p finite")
 
     @property
     def mass_bound(self) -> float:

@@ -41,11 +41,12 @@ _LP_REFINE = 256           # uniform normals added to an L_p (p != 1) combinatio
 
 
 def _as_unit_rows(vectors, tol: float = 1e-9) -> np.ndarray:
-    """Validate an (m, d) array of unit rows; returns a float copy."""
+    """Validate an (m, d) array of finite unit rows; returns a float copy."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     norms = np.linalg.norm(v, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
-        worst = int(np.argmax(np.abs(norms - 1.0)))
+    off = np.abs(norms - 1.0)
+    if not np.all(off <= tol):  # a NaN norm fails this test too
+        worst = int(np.argmax(np.nan_to_num(off, nan=np.inf)))
         raise ValueError(f"row {worst} is not a unit vector (norm {norms[worst]:.12g})")
     return v / norms[:, None]
 
@@ -56,10 +57,12 @@ def _angles_of(vectors: np.ndarray) -> np.ndarray:
 
 
 def _check_support(support: np.ndarray, m: int) -> None:
-    """One positive support value per normal."""
+    """One positive, finite support value per normal."""
     if support.shape != (m,):
         raise ValueError("inconsistent array lengths")
-    if np.any(support <= 0.0):
+    if not 0.0 < support.min() <= support.max() < math.inf:  # NaN fails too
+        if not np.all(np.isfinite(support)):
+            raise ValueError("support values must be finite")
         raise ValueError("support values must be positive (origin interior)")
 
 
@@ -227,10 +230,12 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
     support = np.asarray(support, dtype=float)
     if support.shape != (normals.shape[0],):
         raise ValueError("one support value per normal required")
-    if np.any(support <= 0.0):
-        raise ValueError("support values must be positive (empty interior otherwise)")
     if normals.shape[0] < 3:
         raise ValueError("need at least 3 normals")
+    if not 0.0 < support.min() <= support.max() < math.inf:  # NaN fails too
+        if not np.all(np.isfinite(support)):
+            raise ValueError("support values must be finite")
+        raise ValueError("support values must be positive (empty interior otherwise)")
 
     ang = _angles_of(normals)
     order = np.lexsort((support, ang))  # angle asc, then support asc

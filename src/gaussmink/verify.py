@@ -13,6 +13,7 @@ property held with margin.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -142,6 +143,14 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
     return _result("variational-formula", worst, witness, 1e-4)
 
 
+@functools.lru_cache(maxsize=8)
+def _combination_volume(K: SupportPolygon, L: SupportPolygon, lam: float,
+                        p: float) -> float:
+    """gamma((1-lam) K +_p lam L), built once per pair: the Ehrhard and the
+    p = 1 log-concavity checks share it (bodies hash by identity)."""
+    return gauss_volume_exact(combine_bodies(K, L, 1.0 - lam, lam, p))
+
+
 def check_ehrhard(K: SupportPolygon, L: SupportPolygon,
                   lambdas=(0.25, 0.5, 0.75)) -> CheckResult:
     """Concavity of the Gaussian quantile along Minkowski interpolation.
@@ -156,8 +165,7 @@ def check_ehrhard(K: SupportPolygon, L: SupportPolygon,
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda values must lie in [0, 1]")
-        M = combine_bodies(K, L, 1.0 - lam, lam, 1.0)
-        lhs = float(std_normal_quantile(gauss_volume_exact(M)))
+        lhs = float(std_normal_quantile(_combination_volume(K, L, lam, 1.0)))
         violation = (1.0 - lam) * qK + lam * qL - lhs
         if violation > worst:
             worst, worst_lam = violation, lam
@@ -188,8 +196,7 @@ def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
     tol = UNIFORM_SLACK + ((2.0 * math.pi / _LP_REFINE) ** 2 if p != 1.0 else 0.0)
     worst, worst_lam = -math.inf, None
     for lam in lambdas:
-        M = combine_bodies(K, L, 1.0 - lam, lam, p)
-        violation = gK ** (1.0 - lam) * gL**lam - gauss_volume_exact(M)
+        violation = gK ** (1.0 - lam) * gL**lam - _combination_volume(K, L, lam, p)
         if violation > worst:
             worst, worst_lam = violation, lam
     witness = json.dumps({

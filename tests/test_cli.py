@@ -3,13 +3,14 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaussmink import cli, serialize, smooth
-from gaussmink.cli import RunConfig, main
-from gaussmink.families import FAMILY_NAMES, cos_density, square_surface_measure
+from gaussmink.cli import build_parser, main
+from gaussmink.families import cos_density, square_surface_measure
 from gaussmink.gaussian import (gauss_constants, gauss_volume_exact,
                                 lp_gauss_surface_polygon)
 from gaussmink.geometry import (DiscreteMeasure, SupportField, box_polygon,
@@ -205,21 +206,89 @@ class TestBoundarySvg:
             serialize.boundary_svg(square_surface_measure())
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="dance")
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", resolution=32)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", resolution=2**21)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", p=math.nan)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", seed=-1)
-        assert RunConfig(command="verify", resolution=2**20).resolution == 2**20
+# the flags each parser reads: argparse refuses every other flag
+READS = {
+    ("constants",): {"--output", "--p", "--n"},
+    ("measure",): {"--input", "--output", "--p"},
+    ("solve-discrete",): {"--input", "--output", "--p", "--tol"},
+    ("solve-smooth",): {"--input", "--family", "--output", "--p", "--tol",
+                        "--resolution", "--amplitude", "--frequency"},
+    ("verify",): {"--output", "--seed", "--n"},
+    ("plot",): {"--input", "--output"},
+    ("generate", "uniform-mgon"): {"--output", "--n", "--p"},
+    ("generate", "square-measure"): {"--output", "--p"},
+    ("generate", "cos-density"): {"--output", "--resolution", "--amplitude",
+                                  "--frequency"},
+    ("generate", "random-even"): {"--output", "--seed", "--p"},
+    ("generate", "hemisphere-bad"): {"--output", "--seed", "--p"},
+}
+FLAG_VALUES = {"--input": "in.json", "--output": "out.json", "--p": "2",
+               "--tol": "1e-6", "--seed": "3", "--resolution": "128",
+               "--amplitude": "0.1", "--frequency": "3", "--family": "cos",
+               "--n": "4"}
+UNREAD = [(command, flag) for command, reads in READS.items()
+          for flag in sorted(FLAG_VALUES.keys() - reads)]
+FAMILIES = [command[1] for command in READS if command[0] == "generate"]
+
+
+class TestFlagContract:
+    def test_table_names_every_flag(self):
+        assert set().union(*READS.values()) == FLAG_VALUES.keys()
+
+    @pytest.mark.parametrize("command,flag", UNREAD,
+                             ids=[f"{' '.join(c)} {f}" for c, f in UNREAD])
+    def test_unread_flag_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        # solve-smooth needs its density source before argparse gets to
+        # the unread flag
+        source = ["--family", "cos"] if command == ("solve-smooth",) else []
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *source, flag, FLAG_VALUES[flag], "--output", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [(), ("generate",), *READS],
+                             ids=lambda c: " ".join(c) or "gaussmink")
+    def test_help_lists_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == READS.get(command, {"--output"} if command else set())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_writes_identical_files(self, family, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["generate", family, "--output", str(a)]) == 0
+        assert main(["generate", family, "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_value_checks(self, capsys):
+        for argv, message in [
+            (["dance"], "invalid choice: 'dance'"),
+            (["generate", "cos-density", "--resolution", "32"],
+             "argument --resolution: resolution must lie in [64, 1048576]"),
+            (["solve-smooth", "--family", "cos", "--resolution", str(2**21)],
+             "argument --resolution: resolution must lie in [64, 1048576]"),
+            (["constants", "--p", "nan"], "argument --p: p must be finite"),
+            (["solve-discrete", "--input", "mu.json", "--tol", "0"],
+             "argument --tol: tolerance must be positive and finite"),
+            (["solve-smooth", "--family", "cos", "--tol", "inf"],
+             "argument --tol: tolerance must be positive and finite"),
+            (["verify", "--seed", "-1"], "argument --seed: seed must be nonnegative"),
+            (["measure", "--p", "one"], "argument --p: invalid float value: 'one'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, argv
+        args = build_parser().parse_args(
+            ["generate", "cos-density", "--resolution", str(2**20)])
+        assert args.resolution == 2**20
 
 
 class TestConstantsCommand:
@@ -234,6 +303,12 @@ class TestConstantsCommand:
         kv = parse_kv(capsys.readouterr().out)
         expected = gauss_constants(3, 2.0)
         assert kv["r_half"] == serialize.echo_float(expected.r_half)
+
+    def test_large_p_reports_a_zero_bound(self, capsys):
+        # mass_bound underflows to 0 above p ~ 4550; it used to exit 2
+        assert main(["constants", "--p", "5000"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["mass_bound"] == "0" and kv["r_half"] == "1.17741002"
 
     def test_invalid_dimension(self, capsys):
         assert main(["constants", "--n", "1"]) == 2
@@ -283,6 +358,18 @@ class TestMeasureCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "no positive atoms" in captured.err
         assert not mu_path.exists()
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_support_names_the_cause(self, bad, tmp_path, capsys):
+        # NaN support used to be reported as "a polygon needs at least 3
+        # edges", inf as "consecutive normals must be less than pi apart"
+        path = tmp_path / "body.json"
+        path.write_text('{"dimension": 2, "normals": [[1, 0], [0, 1], [-1, 0], '
+                        f'[0, -1]], "support": [1, 1, {bad}, 1]}}')
+        assert main(["measure", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: support values must be finite\n"
 
     def test_rejects_measure_file(self, tmp_path, capsys):
         path = tmp_path / "mu.json"
@@ -450,7 +537,10 @@ class TestSolveSmoothCommand:
         assert "mass" in capsys.readouterr().err
 
     def test_unknown_family(self, capsys):
-        assert main(["solve-smooth", "--family", "sin"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-smooth", "--family", "sin"])
+        assert exc.value.code == 2
+        assert "argument --family: invalid choice: 'sin'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,source,unread", [
         (["--input", "f.json", "--resolution", "512", "--amplitude", "0.9"],
@@ -462,17 +552,31 @@ class TestSolveSmoothCommand:
          "--family constant", "--amplitude"),
     ])
     def test_unread_flag_is_invalid_input(self, argv, source, unread, capsys):
-        assert main(["solve-smooth", *argv]) == 2
+        # the handler refuses the grid flags its source does not read;
+        # argparse refuses a second source
+        try:
+            code = main(["solve-smooth", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"solve-smooth {source} does not read {unread}" in captured.err
+        assert (f"solve-smooth {source} does not read {unread}" in captured.err
+                or f"argument {unread}: not allowed with argument {source}"
+                in captured.err)
 
     def test_needs_input_or_family(self, capsys):
-        assert main(["solve-smooth"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-smooth"])
+        assert exc.value.code == 2
+        assert ("one of the arguments --input --family is required"
+                in capsys.readouterr().err)
 
     def test_resolution_below_floor(self, capsys):
-        assert main(["solve-smooth", "--family", "cos",
-                     "--resolution", "32"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-smooth", "--family", "cos", "--resolution", "32"])
+        assert exc.value.code == 2
+        assert "argument --resolution: resolution must lie in" in capsys.readouterr().err
 
     def test_tolerance_below_rounding_floor(self, capsys):
         assert main(["solve-smooth", "--family", "cos",
@@ -608,11 +712,10 @@ class TestGenerateCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_name_is_invalid_input(self, capsys):
-        assert main(["generate", "klein-bottle"]) == 2
-        assert "unknown family" in capsys.readouterr().err
-
-    def test_every_family_lists_the_flags_it_reads(self):
-        assert set(cli.GENERATE_FLAGS) == set(FAMILY_NAMES)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "klein-bottle"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'klein-bottle'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,unread", [
         (["uniform-mgon", "--resolution", "32"], "--resolution"),
@@ -624,9 +727,27 @@ class TestGenerateCommand:
     ])
     def test_unread_flag_is_invalid_input(self, argv, unread, tmp_path, capsys):
         out = tmp_path / "x.json"
-        assert main(["generate", *argv, "--output", str(out)]) == 2
-        assert f"generate {argv[0]} does not read {unread}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *argv, "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " in err
+        assert all(flag in err for flag in unread.split(", "))
         assert not out.exists()
+
+    def test_output_before_or_after_the_family_name(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["generate", "--output", str(a), "random-even", "--seed", "2"]) == 0
+        assert main(["generate", "random-even", "--seed", "2", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert capsys.readouterr().out == f"wrote {a}\nwrote {b}\n"
+
+    def test_family_flags_follow_the_family_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--seed", "3", "random-even"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,defaults", [
         (["uniform-mgon", "--n", "8", "--p", "1"], ["uniform-mgon"]),

@@ -389,6 +389,16 @@ class TestGaussConstants:
         assert gauss_constants(2, 2.0).mass_bound == pytest.approx(
             0.30922298631399227, abs=1e-13)
 
+    def test_mass_bound_underflows_at_large_p(self):
+        # r_half^(-p) underflows above p ~ 4550: the bound rounds to 0.0
+        # instead of the constants being refused
+        assert gauss_constants(2, 4500.0).mass_bound > 0.0
+        for p in (4700.0, 5000.0, 1e6):
+            c = gauss_constants(2, p)
+            assert c.mass_bound == 0.0
+            assert (c.r_half, c.a_half) == (gauss_constants(2, 1.0).r_half,
+                                            gauss_constants(2, 1.0).a_half)
+
     def test_ball_radius_inverts_ball_volume(self):
         assert ball_radius(0.5) == pytest.approx(R_HALF, rel=1e-15)
         for n in (2, 3, 9):

@@ -412,6 +412,18 @@ class TestConstructionPaths:
         with pytest.raises(ValueError, match="wulff_shape"):
             body.with_support(np.array([1.0, 5.0, 1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build", [
+        lambda h: SupportPolygon(box_polygon(1.0).normals, h),
+        lambda h: box_polygon(1.0).with_support(h),
+        lambda h: wulff_shape(box_polygon(1.0).normals, h),
+    ], ids=["SupportPolygon", "with_support", "wulff_shape"])
+    def test_non_finite_support_refused(self, build, bad):
+        # NaN used to build a body of NaN Gaussian volume, or to be reported
+        # by wulff_shape as too few edges; inf as normals pi apart
+        with pytest.raises(ValueError, match="support values must be finite"):
+            build(np.array([1.0, 1.0, bad, 1.0]))
+
     def test_with_support_shares_the_frame_and_copies_the_support(self):
         body, h = box_polygon(1.0), np.array([1.0, 2.0, 3.0, 4.0])
         moved = body.with_support(h)
@@ -551,6 +563,16 @@ class TestDiscreteMeasure:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(2, np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]), np.ones(3))
+
+    @pytest.mark.parametrize("row", [[math.nan, -1.0], [math.inf, 0.0],
+                                     [math.nan, math.nan]], ids=["nan", "inf", "all-nan"])
+    def test_non_finite_direction_rejected(self, row):
+        # |norm - 1| > tol is false for a NaN norm: such a row used to pass
+        dirs = [[1.0, 0.0], [0.0, 1.0], row]
+        with pytest.raises(ValueError, match="row 2 is not a unit vector"):
+            DiscreteMeasure(2, dirs, np.ones(3))
+        with pytest.raises(ValueError, match="row 2 is not a unit vector"):
+            support_profile(box_polygon(1.0), dirs)
 
     def test_non_planar_dimension_rejected(self):
         with pytest.raises(ValueError, match="planar"):

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from gaussmink import verify
 from gaussmink.errors import HemisphereConditionError
 from gaussmink.families import (
-    build_family,
     cos_density,
     elongated_hexagon,
     hemisphere_bad_measure,
@@ -539,18 +538,6 @@ class TestFamilies:
     def test_hemisphere_bad_fails_condition(self):
         mu = hemisphere_bad_measure()
         assert not hemisphere_margin(mu) > 1e-8
-
-    def test_build_family_dispatch_and_determinism(self):
-        for name in ("uniform-mgon", "square-measure", "cos-density",
-                     "random-even", "hemisphere-bad"):
-            a = build_family(name, seed=3)
-            b = build_family(name, seed=3)
-            if name == "cos-density":
-                np.testing.assert_array_equal(a, b)
-            else:
-                np.testing.assert_array_equal(a.masses, b.masses)
-        with pytest.raises(ValueError):
-            build_family("no-such-family")
 
     def test_random_even_polygon_symmetric(self):
         rng = np.random.default_rng(2)
