@@ -7,9 +7,10 @@ family).
 
 argparse owns the contract: each subcommand and each generate family
 registers exactly the flags it reads, with their defaults and value checks,
-so any other flag, or a value out of range, is a usage error (exit 2).
-solve-smooth alone reads flags by density source: its handler refuses the
-grid flags that --input, or --family constant, does not read.
+so any other flag, or a value out of range, is a usage error (exit 2).  The
+cos grid flags alone have no argparse default: one left out is None and
+takes cos_density's.  solve-smooth reads flags by density source: its handler
+refuses the grid flags that --input, or --family constant, does not read.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 solver non-convergence (a stall, or a tolerance below the residual's
@@ -53,15 +54,6 @@ def _checked(convert, accept, message: str):
     return check
 
 
-class _Given(argparse.Action):
-    """Store the value and record the flag in `given`, so a handler can
-    tell a flag on the command line from its default."""
-
-    def __call__(self, parser, namespace, values, option_string):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, self.dest)
-
-
 _tolerance = _checked(float, lambda tol: 0.0 < tol < math.inf,
                       "tolerance must be positive and finite")
 # flags that several parsers share: (name, add_argument keywords)
@@ -71,11 +63,18 @@ _P = ("--p", {"type": _checked(float, math.isfinite, "p must be finite"),
               "default": 1.0, "help": "measure exponent p"})
 _SEED = ("--seed", {"type": _checked(int, lambda seed: seed >= 0, "seed must be nonnegative"),
                     "default": 0, "help": "random seed"})
+# the cos grid: no argparse default, so None means "not typed"
+_GRID = ("resolution", "amplitude", "frequency")
 _COS = (("--resolution", {"type": _checked(int, lambda n: 64 <= n <= 2**20,
                                            "resolution must lie in [64, 1048576]"),
-                          "default": 256, "help": "grid resolution"}),
-        ("--amplitude", {"type": float, "default": 0.2, "help": "cos modulation amplitude"}),
-        ("--frequency", {"type": int, "default": 2, "help": "cos modulation frequency"}))
+                          "help": "grid resolution"}),
+        ("--amplitude", {"type": float, "help": "cos modulation amplitude"}),
+        ("--frequency", {"type": int, "help": "cos modulation frequency"}))
+
+
+def _typed_grid(args) -> dict:
+    """The cos grid flags typed on the command line, by cos_density keyword."""
+    return {name: value for name in _GRID if (value := getattr(args, name)) is not None}
 
 
 def _write_output(path: str, text: str) -> None:
@@ -135,18 +134,18 @@ def _cmd_solve_discrete(args) -> int:
 def _cmd_solve_smooth(args) -> int:
     # --input reads no grid flag (the grid is the file's), --family constant
     # only --resolution
-    reads = {None: (), "constant": ("resolution",)}.get(
-        args.family, ("resolution", "amplitude", "frequency"))
-    unread = [f"--{name}" for name in ("resolution", "amplitude", "frequency")
-              if name in args.given and name not in reads]
+    grid = _typed_grid(args)
+    reads = {None: (), "constant": ("resolution",)}.get(args.family, _GRID)
+    unread = [f"--{name}" for name in grid if name not in reads]
     if unread:
         source = "--input" if args.family is None else f"--family {args.family}"
         raise ValueError(f"solve-smooth {source} does not read {', '.join(unread)}")
     if args.family is None:
         values = _require_input(args, "density")
+    elif args.family == "cos":
+        values = cos_density(**grid)
     else:  # the constant density is the cos one at amplitude 0
-        values = cos_density(args.resolution, frequency=args.frequency,
-                             amplitude=args.amplitude if args.family == "cos" else 0.0)
+        values = cos_density(**grid, amplitude=0.0)
     tol = {} if args.tol is None else {"newton_tol": args.tol}
     return _emit_report(args, solve_homotopy(values, args.p, **tol))
 
@@ -191,9 +190,11 @@ def _trace_summary(trace) -> str | None:
     if isinstance(trace[0], HomotopyStep):  # t = 0 start, then accepted steps
         return (f"trace: {len(trace) - 1} accepted continuation steps, "
                 f"last accepted t = {serialize.echo_float(trace[-1].t)}")
-    # discrete: phi at the start ball, then after each Newton step
-    return (f"trace: {len(trace) - 1} Newton steps, "
-            f"last phi = {serialize.echo_float(trace[-1])}")
+    # discrete: phi at the start ball, then after each Newton step; an
+    # overflowed phi prints as inf, since the summary must not raise
+    phi = trace[-1]
+    phi_text = serialize.echo_float(phi) if math.isfinite(phi) else f"{phi:g}"
+    return f"trace: {len(trace) - 1} Newton steps, last phi = {phi_text}"
 
 
 def _command(sub, name: str, help_text: str, *flags, **defaults):
@@ -228,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "solve-smooth", "solve the smooth Minkowski problem on the circle",
         _OUTPUT, _P,
         ("--tol", {"type": _tolerance, "help": "Newton tolerance (default: the solver's)"}),
-        *((flag, {**kwargs, "action": _Given}) for flag, kwargs in _COS),
-        handler=_cmd_solve_smooth, given=())
+        *_COS, handler=_cmd_solve_smooth)
     source = smooth.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", dest="input_path", help="density JSON file")
     source.add_argument("--family", choices=("constant", "cos"),
@@ -250,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("square-measure", "Gaussian surface area measure of the half-volume square",
              lambda a: square_surface_measure(), _P),
             ("cos-density", "even density level (1 + amplitude cos(frequency theta))",
-             lambda a: cos_density(a.resolution, amplitude=a.amplitude,
-                                   frequency=a.frequency), *_COS),
+             lambda a: cos_density(**_typed_grid(a)), *_COS),
             ("random-even", "random measure on antipodal pairs of directions",
              lambda a: random_even_measure(np.random.default_rng(a.seed)), _SEED, _P),
             ("hemisphere-bad", "five atoms in an open halfplane (no solution)",

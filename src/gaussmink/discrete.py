@@ -56,7 +56,6 @@ import numpy as np
 from .errors import HemisphereConditionError, SolverStallError
 from .gaussian import (
     ball_radius,
-    gauss_constants,
     gauss_surface_polygon,
     gauss_volume_exact,
     lp_gauss_surface_polygon,
@@ -88,7 +87,9 @@ class VariationalProblem:
     may stall: at p = 1 a target of 0.2 stalled on 38 % of 1 283 random
     measures (5 to 200 atoms at uniform angles, masses U(0.01, 1)).
     Few-atom regular measures stall at large p: uniform_mgon_measure(4, 0.3)
-    and (8, 0.3) hit MAX_STEPS from p = 20, the 64-gon from p = 30.
+    and (8, 0.3) hit MAX_STEPS from p = 20, the 64-gon from p = 30.  p is
+    refused (ValueError) where h^p or s . s, s = h^(1-p) g, leaves the normal
+    double range at the start ball: at target 1/2 (h = 1.177) from p ~ 2 150.
     """
 
     mu: DiscreteMeasure
@@ -156,15 +157,20 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
             "translates of a halfplane-like body lower the objective without "
             "bound, so no minimizer exists")
     # the constrained minimization itself needs no mass restriction
-    flags = certificate_flags(
-        p, mu.is_even(), mu.total_mass < gauss_constants(2, p).mass_bound)
+    flags = certificate_flags(p, mu.is_even(), mu.total_mass)
 
-    k = mu.num_atoms
-    body, order = wulff_shape_with_indices(
-        mu.directions, np.full(k, ball_radius(prob.target_volume)))
+    k, r = mu.num_atoms, ball_radius(prob.target_volume)
+    body, order = wulff_shape_with_indices(mu.directions, np.full(k, r))
     if len(order) < k:
         raise SolverStallError(f"the start ball keeps {len(order)} of {k} facets: "
                                "atom directions too close to resolve")
+    with np.errstate(all="ignore"):  # h^p, and s . s of recover_multiplier
+        s = lp_gauss_surface_polygon(body, p)
+        scales = (np.float64(r) ** p, s @ s)
+    if not all(np.finfo(float).tiny <= x < math.inf for x in scales):
+        raise ValueError(f"p = {p:g} is out of the discrete solver's range: at the start "
+                         f"radius {r:.6g}, h^p or the squared L_p edge masses leave "
+                         "the double range")
     masses = mu.masses[order]
     trace = [float(masses @ body.support**p)]
     steps = 0

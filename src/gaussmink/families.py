@@ -103,7 +103,7 @@ def square_surface_measure() -> DiscreteMeasure:
     return lp_surface_measure(scale_to_gauss_volume(box_polygon(1.0)), 1.0)
 
 
-def cos_density(resolution: int, level: float = 0.045,
+def cos_density(resolution: int = 256, level: float = 0.045,
                 amplitude: float = 0.2, frequency: int = 2) -> np.ndarray:
     """Even trigonometric density level * (1 + amplitude cos(frequency theta))."""
     if not -1.0 < amplitude < 1.0:

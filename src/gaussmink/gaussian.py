@@ -270,7 +270,8 @@ class GaussConstants:
     mass_bound = sqrt(2/pi) r_half^(-p) a_half e^{-a_half^2/2} is the
     solvability threshold for the total measure.  Only r_half and a_half
     are validated: for p above about 4 550 (n = 2) r_half^(-p) underflows
-    and mass_bound rounds to 0.0, which no positive total mass is below.
+    and mass_bound rounds to 0.0, which no positive total mass is below;
+    below about p = -4 346 it overflows, and mass_bound raises ValueError.
     """
 
     n: int
@@ -284,8 +285,11 @@ class GaussConstants:
 
     @property
     def mass_bound(self) -> float:
-        return (math.sqrt(2.0 / math.pi) * self.r_half ** (-self.p)
-                * self.a_half * math.exp(-0.5 * self.a_half**2))
+        try:
+            return (math.sqrt(2.0 / math.pi) * self.r_half ** (-self.p)
+                    * self.a_half * math.exp(-0.5 * self.a_half**2))
+        except OverflowError:  # r_half^(-p)
+            raise ValueError(f"mass_bound overflows at p = {self.p:g}") from None
 
 
 def gauss_constants(n: int, p: float) -> GaussConstants:

@@ -228,14 +228,9 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
     """
     normals = _as_unit_rows(normals)
     support = np.asarray(support, dtype=float)
-    if support.shape != (normals.shape[0],):
-        raise ValueError("one support value per normal required")
+    _check_support(support, normals.shape[0])
     if normals.shape[0] < 3:
         raise ValueError("need at least 3 normals")
-    if not 0.0 < support.min() <= support.max() < math.inf:  # NaN fails too
-        if not np.all(np.isfinite(support)):
-            raise ValueError("support values must be finite")
-        raise ValueError("support values must be positive (empty interior otherwise)")
 
     ang = _angles_of(normals)
     order = np.lexsort((support, ang))  # angle asc, then support asc

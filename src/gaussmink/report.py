@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .gaussian import gauss_constants
 from .geometry import SupportField, SupportPolygon
 
 
@@ -44,9 +45,11 @@ class SolveReport:
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
 
-def certificate_flags(p: float, even: bool, light: bool) -> list[str]:
-    """Flags of a solve outside the paper's certificate regime: "uncertified"
-    for p < 1, and "no-uniqueness-certificate" unless the data are even and
-    light (total mass below gauss_constants(2, p).mass_bound)."""
+def certificate_flags(p: float, even: bool, total_mass: float) -> list[str]:
+    """Flags of a solve outside the paper's certificate regime, for both
+    solvers: "uncertified" for p < 1, and "no-uniqueness-certificate" unless
+    the data are even and light (total_mass below the mass_bound of
+    gauss_constants(2, p), with which this function compares it)."""
+    light = total_mass < gauss_constants(2, p).mass_bound
     return ((["uncertified"] if p < 1.0 else [])
             + ([] if even and light else ["no-uniqueness-certificate"]))

@@ -43,11 +43,7 @@ def _sig(x) -> float:
 
 
 def _sig_list(values) -> list:
-    return [_sig(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
-def _sig_pairs(rows) -> list:
-    return [[_sig(a), _sig(b)] for a, b in np.asarray(rows, dtype=float)]
+    return [_sig(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def _float_array(values, error: str) -> np.ndarray:
@@ -86,7 +82,7 @@ def dumps_json(payload: dict) -> str:
 
 def body_to_dict(body: SupportPolygon) -> dict:
     return {"dimension": 2,
-            "normals": _sig_pairs(body.normals),
+            "normals": [_sig_list(normal) for normal in body.normals],
             "support": _sig_list(body.support)}
 
 
@@ -101,7 +97,7 @@ def body_from_dict(data: dict) -> SupportPolygon:
 
 
 def measure_to_dict(mu: DiscreteMeasure, p: float = 1.0) -> dict:
-    atoms = [{"direction": [_sig(d[0]), _sig(d[1])], "mass": _sig(m)}
+    atoms = [{"direction": _sig_list(d), "mass": _sig(m)}
              for d, m in zip(mu.directions, mu.masses)]
     return {"dimension": 2, "p": _sig(p), "atoms": atoms}
 

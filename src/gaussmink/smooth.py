@@ -262,7 +262,7 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
             f"threshold {constants.mass_bound:.6g} for p = {p:g}"
         )
     even = float(np.max(np.abs(f - np.roll(f, n // 2)))) <= 1e-12 * float(np.max(f))
-    flags = certificate_flags(p, even, total_mass < constants.mass_bound)
+    flags = certificate_flags(p, even, total_mass)
 
     # constant start: the midpoint of the window (branch floor + 1e-6, ceiling];
     # the margin keeps off the fold r0^2 = 2 - p, near which (up to about

@@ -351,22 +351,17 @@ def run_suite(seed: int = 0, instances: int = 100) -> list[CheckResult]:
         variational.append(check_variational_formula(body, f, p))
     rows.append(aggregate("variational-formula", variational))
 
-    ehrhard = []
+    ehrhard, mixed = [], []
     log_conc = {1.0: [], 2.0: []}
-    pairs = []
     for _ in range(instances):
         K, L = random_polygon(rng), random_polygon(rng)
-        pairs.append((K, L))
         ehrhard.append(check_ehrhard(K, L))
         for p in (1.0, 2.0):
             log_conc[p].append(check_log_concavity(K, L, p=p))
+        mixed.append(check_mixed_measure_inequality(K, L, p=1.0))
     rows.append(aggregate("ehrhard", ehrhard))
     rows.append(aggregate("log-concavity-p1", log_conc[1.0]))
     rows.append(aggregate("log-concavity-p2", log_conc[2.0]))
-
-    mixed = []
-    for K, L in pairs:
-        mixed.append(check_mixed_measure_inequality(K, L, p=1.0))
     rows.append(aggregate("mixed-measure", mixed))
 
     iso = []

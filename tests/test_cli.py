@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from gaussmink import cli, serialize, smooth
 from gaussmink.cli import build_parser, main
+from gaussmink.errors import SolverStallError
 from gaussmink.families import cos_density, square_surface_measure
 from gaussmink.gaussian import (gauss_constants, gauss_volume_exact,
                                 lp_gauss_surface_polygon)
@@ -310,6 +312,14 @@ class TestConstantsCommand:
         kv = parse_kv(capsys.readouterr().out)
         assert kv["mass_bound"] == "0" and kv["r_half"] == "1.17741002"
 
+    def test_overflowing_bound_is_invalid_input(self, capsys):
+        # r_half^(-p) overflows: this used to exit 1 with an OverflowError
+        # traceback
+        assert main(["constants", "--p", "-5000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mass_bound overflows at p = -5000\n"
+
     def test_invalid_dimension(self, capsys):
         assert main(["constants", "--n", "1"]) == 2
 
@@ -474,6 +484,36 @@ class TestSolveDiscreteCommand:
         assert float(summary.rsplit(" = ", 1)[1]) > 0.0
 
 
+    @pytest.mark.parametrize("p", ["3000", "4500", "5000"])
+    def test_exponent_out_of_range_is_invalid_input(self, p, tmp_path, capsys):
+        # p = 3000 stalled (exit 3) on a singular KKT matrix, 4500 ended in a
+        # traceback, 5000 named a facet without mass, all with RuntimeWarnings
+        path = tmp_path / "square.json"
+        path.write_text(serialize.dumps_json(
+            serialize.measure_to_dict(square_surface_measure())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve-discrete", "--input", str(path), "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: p = {p} is out of the discrete "
+                                       "solver's range: at the start radius 1.17741,")
+
+    def test_non_finite_objective_in_the_trace_summary(self, monkeypatch, tmp_path,
+                                                       capsys):
+        # phi = inf ended the trace at p = 4500: echo_float raised inside
+        # main's handler, and the run exited 1 with a traceback
+        def stall(prob):
+            raise SolverStallError("stalled", trace=[0.5, math.inf])
+        monkeypatch.setattr(cli, "solve_constrained", stall)
+        path = tmp_path / "square.json"
+        path.write_text(serialize.dumps_json(
+            serialize.measure_to_dict(square_surface_measure())))
+        assert main(["solve-discrete", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == ("error: stalled\n"
+                                           "trace: 1 Newton steps, last phi = inf\n")
+
+
 SQUARE_NORMALS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
 SQUARE_ATOMS = [{"direction": d, "mass": 0.1} for d in SQUARE_NORMALS]
 
@@ -550,6 +590,11 @@ class TestSolveSmoothCommand:
          "--family constant", "--frequency"),
         (["--family", "constant", "--amplitude", "0.1", "--resolution", "128"],
          "--family constant", "--amplitude"),
+        # the typed value equals cos_density's default and is still refused
+        (["--input", "f.json", "--resolution", "256"], "--input", "--resolution"),
+        # listed in the grid's order, not in the order typed
+        (["--input", "f.json", "--frequency", "3", "--amplitude", "0.1"],
+         "--input", "--amplitude, --frequency"),
     ])
     def test_unread_flag_is_invalid_input(self, argv, source, unread, capsys):
         # the handler refuses the grid flags its source does not read;

@@ -1,7 +1,9 @@
 """Constrained variational solver: objective, gradient, solve, multiplier."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gaussmink.errors import HemisphereConditionError, SolverStallError
 from gaussmink.families import (
     cos_density,
     random_spanning_measure,
+    square_surface_measure,
     uniform_mgon_measure,
 )
 from gaussmink.gaussian import (
@@ -341,6 +344,21 @@ class TestSolveConstrained:
                              np.ones(4))
         with pytest.raises(HemisphereConditionError):
             solve_constrained(VariationalProblem(mu, 1.0))
+
+    @pytest.mark.parametrize("p,target,radius", [
+        (2200.0, 0.5, "1.17741"), (3000.0, 0.5, "1.17741"), (4500.0, 0.5, "1.17741"),
+        (1e6, 0.5, "1.17741"), (2000.0, 0.2, "0.668047")])
+    def test_exponent_out_of_double_range_refused(self, p, target, radius):
+        # at target 1/2, s . s in recover_multiplier underflows from p ~ 2 150 and
+        # h^p overflows from p ~ 4 346; these ran into a singular KKT matrix, a
+        # RuntimeWarning and an infinite objective, or no facet with mass.  A
+        # start ball inside the unit disc fails the other way round
+        prob = VariationalProblem(square_surface_measure(), p, target_volume=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"p = {p:g}") + f".* start radius {radius},"):
+                solve_constrained(prob)
 
     def test_impossible_tolerance_stalls(self):
         mu = ring_measure(8, 0.3)

@@ -389,6 +389,13 @@ class TestGaussConstants:
         assert gauss_constants(2, 2.0).mass_bound == pytest.approx(
             0.30922298631399227, abs=1e-13)
 
+    def test_mass_bound_overflow_names_p(self):
+        # r_half^(-p) overflows below p ~ -4346; this used to escape as an
+        # OverflowError, outside the ValueError of invalid input
+        assert gauss_constants(2, -4000.0).mass_bound > 1e283
+        with pytest.raises(ValueError, match="overflows at p = -5000"):
+            gauss_constants(2, -5000.0).mass_bound
+
     def test_mass_bound_underflows_at_large_p(self):
         # r_half^(-p) underflows above p ~ 4550: the bound rounds to 0.0
         # instead of the constants being refused

@@ -424,6 +424,22 @@ class TestConstructionPaths:
         with pytest.raises(ValueError, match="support values must be finite"):
             build(np.array([1.0, 1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("bad,message", [
+        ([1.0, 1.0, -1.0, 1.0], "support values must be positive (origin interior)"),
+        ([1.0, 1.0, 1.0], "inconsistent array lengths"),
+    ], ids=["negative", "wrong-length"])
+    def test_support_refusals_share_one_message(self, bad, message):
+        # the Wulff reduction used to keep its own copy of these checks, with
+        # other messages; test_non_finite_support_refused covers NaN
+        normals, messages = box_polygon(1.0).normals, set()
+        for build in (lambda h: SupportPolygon(normals, h),
+                      lambda h: box_polygon(1.0).with_support(h),
+                      lambda h: wulff_shape(normals, h)):
+            with pytest.raises(ValueError) as exc:
+                build(np.array(bad))
+            messages.add(str(exc.value))
+        assert messages == {message}
+
     def test_with_support_shares_the_frame_and_copies_the_support(self):
         body, h = box_polygon(1.0), np.array([1.0, 2.0, 3.0, 4.0])
         moved = body.with_support(h)

@@ -369,16 +369,21 @@ class TestSolveHomotopy:
         assert rep.stationarity_residual <= 1e-9
 
     def test_both_solvers_state_the_certificate_regime_alike(self):
-        # one rule, certificate_flags, for the smooth and the discrete solver
-        assert certificate_flags(1.0, True, True) == []
-        assert certificate_flags(2.0, True, False) == ["no-uniqueness-certificate"]
-        assert certificate_flags(0.7, False, True) == ["uncertified",
-                                                       "no-uniqueness-certificate"]
+        # one rule, certificate_flags, for the smooth and the discrete solver;
+        # it compares the total mass with the bound itself
+        for p in (1.0, 2.0):
+            bound = gauss_constants(2, p).mass_bound
+            assert certificate_flags(p, True, math.nextafter(bound, 0.0)) == []
+            assert certificate_flags(p, True, bound) == ["no-uniqueness-certificate"]
+            assert certificate_flags(p, False, 0.1) == ["no-uniqueness-certificate"]
+        assert certificate_flags(0.7, True, 0.1) == ["uncertified"]
+        assert certificate_flags(0.7, False, 0.1) == ["uncertified",
+                                                      "no-uniqueness-certificate"]
         theta = grid(256)
         odd = 0.045 * (1.0 + 0.2 * np.cos(theta))
         pentagon = uniform_mgon_measure(5, 0.3)  # five atoms: not even
         for p in (0.7, 1.5):
-            expected = tuple(certificate_flags(p, False, True))
+            expected = tuple(certificate_flags(p, False, 0.3))
             assert solve_homotopy(odd, p).flags == expected
             assert solve_constrained(VariationalProblem(pentagon, p)).flags == expected
 
