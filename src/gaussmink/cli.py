@@ -190,7 +190,7 @@ def _trace_summary(trace) -> str | None:
     if isinstance(trace[0], HomotopyStep):  # t = 0 start, then accepted steps
         return (f"trace: {len(trace) - 1} accepted continuation steps, "
                 f"last accepted t = {serialize.echo_float(trace[-1].t)}")
-    # discrete: phi at the start ball, then after each Newton step; an
+    # discrete: phi at the start body, then after each Newton step; an
     # overflowed phi prints as inf, since the summary must not raise
     phi = trace[-1]
     phi_text = serialize.echo_float(phi) if math.isfinite(phi) else f"{phi:g}"

@@ -19,16 +19,16 @@ where g is the vector of exact Gaussian edge masses, the gradient of the
 exact per-sector volume.  With the atoms sorted by angle the Hessian of
 gamma_2 is cyclic tridiagonal, so a step costs one cyclic-tridiagonal solve
 with two right-hand sides and a scalar Schur complement for lambda.  The
-atom directions stay fixed, so a trial step rebuilds only the support part
+canonical Wulff reduction runs once per solve, on the start body; the atom
+directions then stay fixed, so a trial step rebuilds only the support part
 of the start body's edge frame (SupportPolygon.with_support).  Steps are
-halved until the residual norm decreases and every atom keeps its facet:
-the trial's edges must have positive length, and the canonical Wulff
-reduction, with its collinearity tolerance, runs once on the step that
-decreases the residual.  The iteration stops at a scaled residual of 1e-13
-or at the rounding floor, where no halving decreases it.  The solve is
-deterministic: it starts on the constraint, from the ball whose Gaussian
-volume is the target, or, for p < 1, where phi is not convex, from the
-solution at p = 1.
+halved until the residual norm decreases and every atom keeps its facet,
+that is, every edge of the trial has positive length.  The iteration stops
+at a scaled residual of 1e-13 or at the rounding floor, where no halving
+decreases it.  The solve is deterministic: it starts on the constraint,
+from the polygon on the atom directions that circumscribes the ball of the
+target volume, shrunk onto the constraint, or, for p < 1, where phi is not
+convex, from the solution at p = 1.
 
 Precondition: the measure must not concentrate on a closed hemisphere
 (otherwise inflating a halfplane-shaped body lowers phi without bound and
@@ -59,6 +59,7 @@ from .gaussian import (
     gauss_surface_polygon,
     gauss_volume_exact,
     lp_gauss_surface_polygon,
+    scale_to_gauss_volume,
 )
 from .geometry import (
     TWO_PI,
@@ -85,9 +86,9 @@ class VariationalProblem:
 
     A target_volume below 1/2 lies off the paper's branch gamma_2 > 1/2 and
     may stall: at p = 1 a target of 0.2 stalled on 38 % of 1 283 random
-    measures (5 to 200 atoms at uniform angles, masses U(0.01, 1)).
-    Few-atom regular measures stall at large p: uniform_mgon_measure(4, 0.3)
-    and (8, 0.3) hit MAX_STEPS from p = 20, the 64-gon from p = 30.  p is
+    measures (5 to 200 atoms at uniform angles, masses U(0.01, 1)).  Regular
+    measures solve at their start, in 0 Newton steps: uniform_mgon_measure
+    with 4, 8, 64 and 512 atoms and the square at p = 0.3 to 2 100.  p is
     refused (ValueError) where h^p or s . s, s = h^(1-p) g, leaves the normal
     double range at the start ball: at target 1/2 (h = 1.177) from p ~ 2 150.
     """
@@ -171,6 +172,7 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
         raise ValueError(f"p = {p:g} is out of the discrete solver's range: at the start "
                          f"radius {r:.6g}, h^p or the squared L_p edge masses leave "
                          "the double range")
+    body = scale_to_gauss_volume(body, prob.target_volume)
     masses = mu.masses[order]
     trace = [float(masses @ body.support**p)]
     steps = 0
@@ -212,7 +214,7 @@ def _newton_kkt(frame, masses, p, target, lam, accepted):
     """
 
     def evaluate(h, lam):
-        """(body, g, F_1, F_2, merit, scaled residual), or None off the guard."""
+        """(body, g, F_1, F_2, merit, scaled residual), or None where a facet is lost."""
         try:
             body = frame.with_support(h)
         except ValueError:  # nonpositive support or an edge of nonpositive length
@@ -221,13 +223,6 @@ def _newton_kkt(frame, masses, p, target, lam, accepted):
         f1, f2 = dphi - lam * g, gauss_volume_exact(body) - target
         merit = math.hypot(float(np.linalg.norm(f1 / (p * masses))), f2)
         return body, g, f1, f2, merit, max(float(np.max(np.abs(f1) / dphi)), abs(f2))
-
-    def keeps_every_facet(h):
-        """Facet guard: the canonical reduction keeps every atom's edge."""
-        try:
-            return len(wulff_shape_with_indices(frame.normals, h)[1]) == len(h)
-        except ValueError:
-            return False
 
     h = frame.support
     state = evaluate(h, lam)
@@ -254,7 +249,7 @@ def _newton_kkt(frame, masses, p, target, lam, accepted):
             if lam_t == lam and np.array_equal(h_t, h):  # so does every smaller t
                 return body, steps, ROUNDING_FLOOR
             trial = evaluate(h_t, lam_t)
-            if trial is not None and trial[4] < merit and keeps_every_facet(h_t):
+            if trial is not None and trial[4] < merit:
                 break
             t *= 0.5
         else:
