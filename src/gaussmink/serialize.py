@@ -26,6 +26,7 @@ from .geometry import (DiscreteMeasure, SupportField, SupportPolygon,
 from .report import SolveReport
 
 SIGNIFICANT_DIGITS = 9
+_FORMAT = f".{SIGNIFICANT_DIGITS}g"
 PLOT_SAMPLES = 1024
 PLOT_HALF_EXTENT = 4.0
 
@@ -35,15 +36,23 @@ def echo_float(x) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("only finite numbers are serialized")
-    return f"{x:.{SIGNIFICANT_DIGITS}g}"
-
-
-def _sig(x) -> float:
-    return float(echo_float(x))
+    return format(x, _FORMAT)
 
 
 def _sig_list(values) -> list:
-    return [_sig(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+    """The values, flattened, each rounded to nine significant digits.
+
+    Equal bit for bit to float(echo_float(v)) per value; finiteness is
+    checked once for the whole array.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("only finite numbers are serialized")
+    return [float(format(v, _FORMAT)) for v in values.tolist()]
+
+
+def _pairs(flat: list) -> list:
+    return [flat[i:i + 2] for i in range(0, len(flat), 2)]
 
 
 def _float_array(values, error: str) -> np.ndarray:
@@ -77,12 +86,33 @@ def _is_number(x) -> bool:
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    json runs its C encoder only without indent, so the indented layout is
+    built here.  A list of finite floats, the bulk of every payload, is
+    joined from float.__repr__, the text json writes for each.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [json.dumps(key) + ": " + _indented(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        else:  # other scalars and nesting; a sum that overflows lands here too
+            items = [_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 def body_to_dict(body: SupportPolygon) -> dict:
     return {"dimension": 2,
-            "normals": [_sig_list(normal) for normal in body.normals],
+            "normals": _pairs(_sig_list(body.normals)),
             "support": _sig_list(body.support)}
 
 
@@ -97,9 +127,9 @@ def body_from_dict(data: dict) -> SupportPolygon:
 
 
 def measure_to_dict(mu: DiscreteMeasure, p: float = 1.0) -> dict:
-    atoms = [{"direction": _sig_list(d), "mass": _sig(m)}
-             for d, m in zip(mu.directions, mu.masses)]
-    return {"dimension": 2, "p": _sig(p), "atoms": atoms}
+    atoms = [{"direction": d, "mass": m}
+             for d, m in zip(_pairs(_sig_list(mu.directions)), _sig_list(mu.masses))]
+    return {"dimension": 2, "p": float(echo_float(p)), "atoms": atoms}
 
 
 def measure_from_dict(data: dict) -> tuple[DiscreteMeasure, float]:

@@ -8,9 +8,11 @@ measure,
 
 to a prescribed positive density f, with D the periodic central difference.
 A homotopy f_t = (1-t) c0 + t f starts from the constant solution h = r0 on
-the branch whose ball has Gaussian volume above 1/2 and tracks it to t = 1
-with damped Newton steps along the fixed ladder T_LADDER; a Newton solve
-that fails on a rung ends the solve.  The linearization at the constant
+the branch whose ball has Gaussian volume above 1/2.  One damped Newton
+solve goes from it straight to t = 1; only when that solve stalls for a
+reason other than the rounding floor does the path restart from the
+constant start along the ladder T_LADDER, where a Newton solve that fails on
+a rung ends the solve.  The linearization at the constant
 start is the periodic operator D^2 + (2-p) - r0^2 up to a positive
 prefactor, with spectrum (2-p) - r0^2 - k^2.  Every start on the branch has
 r0^2 > 2 - p (r0 exceeds sqrt(2-p) for p < 2 and the half-volume radius for
@@ -19,8 +21,9 @@ p >= 2), so every eigenvalue is negative and no start is singular.
 The residual has a rounding floor of about eps max(a h) / step^2, with
 a = h^(1-p) e^(-h^2/2) / 2pi the density's prefactor; it grows like N^2.  A
 Newton stall at that floor raises RoundingFloorError, naming the floor and
-a reachable tolerance; any other stall raises SolverStallError naming the
-rung.
+a reachable tolerance, at once: the floor does not depend on t, so the
+ladder would stall too.  A stall of the ladder raises SolverStallError
+naming the rung.
 """
 
 from __future__ import annotations
@@ -167,16 +170,12 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     return delta.reshape(rhs.shape)
 
 
-def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
-    """One damped Newton update h <- h - t J^{-1} G toward density f.
-
-    defect is residual(field, f, p).  Returns the new field with its
-    residual, the one the damping loop computed.  The full step is halved (at
-    most MAX_HALVINGS times, and no further once the candidate equals h)
-    until the residual max-norm decreases and the candidate stays a valid
-    convex field.  When no damping level helps, raises RoundingFloorError if
-    the residual is within FLOOR_FACTOR of _rounding_floor, and
-    SolverStallError otherwise.
+def _damped_search(field: SupportField, f, p: float, defect: np.ndarray,
+                   levels: int):
+    """The first of h - delta, h - delta/2, ... (at most levels trials) that
+    is a valid convex field with a smaller residual max-norm, with that
+    residual; None when none is.  delta = J^{-1} defect; a zero delta returns
+    the field itself.  Raises SolverStallError on a singular system.
     """
     base = float(np.max(np.abs(defect)))
     sub, diag, sup = _jacobian_bands(field, p)
@@ -184,7 +183,7 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
     if not np.any(delta):
         return field, defect
     t = 1.0
-    for _ in range(MAX_HALVINGS):
+    for _ in range(levels):
         candidate = field.h - t * delta
         if np.array_equal(candidate, field.h):
             break  # every smaller t evaluates the same point
@@ -197,6 +196,24 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
         if float(np.max(np.abs(trial_defect))) < base:
             return trial, trial_defect
         t *= 0.5
+    return None
+
+
+def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
+    """One damped Newton update h <- h - t J^{-1} G toward density f.
+
+    defect is residual(field, f, p).  Returns the new field with its
+    residual, the one the damping loop computed.  The full step is halved (at
+    most MAX_HALVINGS times, and no further once the candidate equals h)
+    until the residual max-norm decreases and the candidate stays a valid
+    convex field.  When no damping level helps, raises RoundingFloorError if
+    the residual is within FLOOR_FACTOR of _rounding_floor, and
+    SolverStallError otherwise.
+    """
+    found = _damped_search(field, f, p, defect, MAX_HALVINGS)
+    if found is not None:
+        return found
+    base = float(np.max(np.abs(defect)))
     floor = _rounding_floor(field, p)
     if base <= FLOOR_FACTOR * floor:
         raise RoundingFloorError(
@@ -204,6 +221,18 @@ def newton_step(field: SupportField, f, p: float, defect: np.ndarray):
             f"{FLOOR_FACTOR:g} times the rounding floor {floor:.3g} of the "
             f"N = {field.resolution} grid", base, floor)
     raise SolverStallError("damped Newton step failed to reduce the residual")
+
+
+def _final_step(field: SupportField, f, p: float, defect: np.ndarray):
+    """One undamped Newton trial past the tolerance, kept only when it lowers
+    the residual; (field, defect) unchanged otherwise.  Never raises: near
+    the rounding floor the trial may fail, and that is no stall.
+    """
+    try:
+        found = _damped_search(field, f, p, defect, 1)
+    except SolverStallError:
+        return field, defect
+    return (field, defect) if found is None else found
 
 
 def _rounding_floor(field: SupportField, p: float) -> float:
@@ -217,29 +246,96 @@ def _rounding_floor(field: SupportField, p: float) -> float:
     return float(np.finfo(float).eps * np.max(a * h) / field.step**2)
 
 
+def _walk(schedule, field: SupportField, c0: float, f: np.ndarray, p: float,
+          newton_tol: float):
+    """Solve f_t = (1-t) c0 + t f for each t of schedule in turn, each Newton
+    solve starting from the previous field; returns the last field and the
+    trace.  field solves t = 0 exactly, so t = 0 takes no Newton step.
+    """
+    n = field.resolution
+    steps: list[HomotopyStep] = []
+    for t in schedule:
+        f_target = (1.0 - t) * c0 + t * f
+        defect = residual(field, f_target, p)
+        iters = 0
+        try:
+            while (norm := float(np.max(np.abs(defect)))) > newton_tol and t > 0.0:
+                if iters == NEWTON_MAX_ITERS:
+                    raise SolverStallError(f"Newton did not reach tolerance in "
+                                           f"{NEWTON_MAX_ITERS} iterations")
+                field, defect = newton_step(field, f_target, p, defect)
+                iters += 1
+        except RoundingFloorError as exc:
+            reachable = max(_REACHABLE_FLOORS * exc.floor, exc.residual)
+            scale = 10.0 ** math.floor(math.log10(reachable))
+            reachable = math.ceil(reachable / scale) * scale  # rounded up to 1 digit
+            raise RoundingFloorError(
+                f"Newton stalled at the rounding floor of the residual "
+                f"(N = {n}, p = {p:g}, reached t = {steps[-1].t:.6g}): "
+                f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
+                f"requested newton_tol = {newton_tol:g}; tolerances from about "
+                f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
+                exc.residual, exc.floor, trace=list(steps),
+            ) from None
+        except SolverStallError as exc:
+            raise SolverStallError(f"{exc} on the continuation rung t = {t:g}",
+                                   trace=list(steps)) from None
+        if t > 0.0:
+            # one more step, kept if it helps: a quadratic step from the last
+            # iterate takes the residual from near newton_tol to round-off
+            polished, defect = _final_step(field, f_target, p, defect)
+            if polished is not field:
+                field, norm = polished, float(np.max(np.abs(defect)))
+                iters += 1
+        gamma = field_gauss_volume(field)
+        if gamma <= 0.5:
+            raise SolverStallError(
+                f"path lost the volume certificate at t = {t:.6g}: "
+                f"gauss volume {gamma:.6g} <= 1/2",
+                trace=list(steps),
+            )
+        steps.append(
+            HomotopyStep(
+                t=t,
+                newton_iters=iters,
+                residual=norm,
+                min_convexity=float(np.min(field.curvature)),
+                gauss_volume=gamma,
+            )
+        )
+    return field, steps
+
+
 def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
                    r_star: float | None = None) -> SolveReport:
     """Track the constant solution to a solution of density = f.
 
     f is sampled on N uniform angles, N = len(f) even and at least 64, and
     must be positive with total mass below the solvability threshold; the
-    threshold check runs before any continuation step.  One loop walks
-    t = 0 and then each rung of T_LADDER, f_t = (1-t) c0 + t f.  The start
-    is exact at t = 0, so only the rungs take Newton steps, each from the
-    previous field; every t reached is volume-checked and recorded as a
-    HomotopyStep.  The report carries the solution field, the max-norm
-    equation residual, the volume margin above 1/2 and that trace.
+    threshold check runs before any continuation step.  The path
+    f_t = (1-t) c0 + t f is walked first as t = 0, 1: one damped Newton
+    solve from the constant start, which is exact at t = 0.  If that solve
+    stalls other than at the rounding floor (step limit, failed damping,
+    singular system, lost volume certificate), the walk restarts from the
+    constant start as t = 0 and then each rung of T_LADDER, each Newton solve
+    starting from the previous field.  Each Newton solve ends with one more
+    step once newton_tol is met, kept only when it lowers the residual.
+    Every t reached is volume-checked and recorded as a HomotopyStep.  The
+    report carries the solution field, the max-norm equation residual, the
+    volume margin above 1/2, and the trace and Newton step count of the walk
+    that succeeded.
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     default 1e-11 lies above the rounding floor (module docstring) up to
     N = 4096 on the cos densities measured at p >= 0.7, but not for heavy,
-    rough densities at smaller p: cos_density(4096, 0.95 mass_bound / 2 pi,
-    0.9, 3) converges for p = 0.7 to 3 and stalls at the floor for p = 0.2
-    and 0.5.  A stall at the floor raises RoundingFloorError naming a
-    reachable tolerance; any other Newton failure raises SolverStallError
-    naming the rung.  r_star overrides the radius of the constant start,
-    the midpoint of its window by default; a value outside the window
-    (branch floor + 1e-6, R_STAR_CEILING] raises ValueError.
+    rough densities at small p: cos_density(4096, 0.95 mass_bound / 2 pi,
+    0.9, 3) converges at p = 0.4, 0.5, 0.7, 1, 1.5, 2 and 3 and stalls at
+    the floor at p = 0.1, 0.2 and 0.3.  A stall at the floor raises
+    RoundingFloorError naming a reachable tolerance; a stall of the ladder
+    raises SolverStallError naming the rung.  r_star overrides the radius of
+    the constant start, the midpoint of its window by default; a value
+    outside the window (branch floor + 1e-6, R_STAR_CEILING] raises
+    ValueError.
     """
     if not newton_tol > 0.0:
         raise ValueError("newton_tol must be positive")
@@ -274,50 +370,13 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
             f"r_star = {r0:g} lies outside the window of constant starts "
             f"({floor:.6g} + 1e-6, {R_STAR_CEILING:g}] for p = {p:g}")
     c0 = constant_field_density(r0, p)
-    field = SupportField(np.full(n, r0))
-    steps: list[HomotopyStep] = []
-    for t in (0.0, *T_LADDER):
-        f_target = (1.0 - t) * c0 + t * f
-        defect = residual(field, f_target, p)
-        iters = 0
-        try:
-            while (norm := float(np.max(np.abs(defect)))) > newton_tol and t > 0.0:
-                if iters == NEWTON_MAX_ITERS:
-                    raise SolverStallError(f"Newton did not reach tolerance in "
-                                           f"{NEWTON_MAX_ITERS} iterations")
-                field, defect = newton_step(field, f_target, p, defect)
-                iters += 1
-        except RoundingFloorError as exc:
-            reachable = max(_REACHABLE_FLOORS * exc.floor, exc.residual)
-            scale = 10.0 ** math.floor(math.log10(reachable))
-            reachable = math.ceil(reachable / scale) * scale  # rounded up to 1 digit
-            raise RoundingFloorError(
-                f"Newton stalled at the rounding floor of the residual "
-                f"(N = {n}, p = {p:g}, reached t = {steps[-1].t:.6g}): "
-                f"residual {exc.residual:.3g}, floor estimate {exc.floor:.3g}, "
-                f"requested newton_tol = {newton_tol:g}; tolerances from about "
-                f"{reachable:g} up are reachable: pass --tol >= {reachable:g}",
-                exc.residual, exc.floor, trace=list(steps),
-            ) from None
-        except SolverStallError as exc:
-            raise SolverStallError(f"{exc} on the continuation rung t = {t:g}",
-                                   trace=list(steps)) from None
-        gamma = field_gauss_volume(field)
-        if gamma <= 0.5:
-            raise SolverStallError(
-                f"path lost the volume certificate at t = {t:.6g}: "
-                f"gauss volume {gamma:.6g} <= 1/2",
-                trace=list(steps),
-            )
-        steps.append(
-            HomotopyStep(
-                t=t,
-                newton_iters=iters,
-                residual=norm,
-                min_convexity=float(np.min(field.curvature)),
-                gauss_volume=gamma,
-            )
-        )
+    start = SupportField(np.full(n, r0))
+    try:
+        field, steps = _walk((0.0, 1.0), start, c0, f, p, newton_tol)
+    except RoundingFloorError:
+        raise  # the floor does not depend on t: the ladder would stall too
+    except SolverStallError:
+        field, steps = _walk((0.0, *T_LADDER), start, c0, f, p, newton_tol)
 
     density = smooth_lp_density(field, p)
     return SolveReport(

@@ -60,6 +60,16 @@ class TestConstantSolves:
         assert h[0] == pytest.approx(radius, rel=1e-10)
         assert report.volume_residual + 0.5 == pytest.approx(volume, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_constant_density_gives_a_flat_field(self, p, n):
+        # flat to rounding, not exactly: 5 of these 240 fields have
+        # np.ptp(h) > 0, the largest 0.93 eps max(h)
+        level = gauss_constants(2, p).mass_bound / TWO_PI
+        for fraction in np.linspace(0.1, 0.95, 12):
+            h = solve_homotopy(np.full(n, fraction * level), p).body.h
+            assert np.ptp(h) <= np.finfo(float).eps * np.max(h)
+
 
 class TestLinearizedGuard:
     def test_collision_cases(self):
@@ -227,14 +237,14 @@ class TestSolveHomotopy:
     def test_constant_target_needs_no_newton_step(self):
         level = constant_field_density(2.0, 1.0)
         rep = solve_homotopy(np.full(512, level), 1.0, r_star=2.0)
-        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 1.0]
         assert rep.iterations == 0
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-14)
 
     def test_start_takes_no_newton_step(self):
         # at p = 0.5 the start's residual is rounding (about 7e-18), above
         # this newton_tol, yet t = 0 is recorded without a Newton step and
-        # the first stall is on the rung t = 0.25
+        # the first stall is in the direct solve at t = 1
         with pytest.raises(RoundingFloorError) as info:
             solve_homotopy(cos_density(256, 0.02, 0.2, 2), 0.5, newton_tol=1e-300)
         [start] = info.value.trace
@@ -250,7 +260,9 @@ class TestSolveHomotopy:
     def test_each_iterate_is_evaluated_once(self, p, monkeypatch):
         # every residual call is on a new (field, target) pair: the damping
         # loop's residual of the accepted step is reused for the tolerance
-        # check, the next Newton step and the trace record
+        # check, the next Newton step and the trace record.  Rejected trials
+        # add one call each: at p = 2 the first full step is halved once and
+        # the final trial past the tolerance is not kept
         seen = []
 
         def recording(field, f, q):
@@ -261,12 +273,15 @@ class TestSolveHomotopy:
         monkeypatch.setattr(smooth, "residual", recording)
         rep = solve_homotopy(cos_density(256, 0.045, 0.2, 2), p)
         assert rep.stationarity_residual <= 1e-9
-        assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 1.0]
+        rejected = {1.0: 0, 2.0: 2}[p]
+        assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations + rejected
 
     def test_newton_stops_at_its_iteration_limit(self, monkeypatch):
         # a Newton solve that misses the tolerance makes exactly
-        # NEWTON_MAX_ITERS steps: none is taken whose result goes unchecked;
-        # the failure ends the solve on the rung t = 0.25
+        # NEWTON_MAX_ITERS steps: none is taken whose result goes unchecked.
+        # The direct solve at t = 1 fails, the ladder retries from the
+        # constant start, and its failure on the rung t = 0.25 ends the solve
         steps = []
         step = smooth.newton_step
 
@@ -279,7 +294,7 @@ class TestSolveHomotopy:
         with pytest.raises(SolverStallError) as info:
             solve_homotopy(cos_density(256, 0.045, 0.2, 2), 1.0)
         assert type(info.value) is SolverStallError  # not the rounding floor
-        assert len(steps) == 2
+        assert len(steps) == 2 + 2
         assert "t = 0.25" in str(info.value)
         assert [s.t for s in info.value.trace] == [0.0]
 
@@ -294,7 +309,7 @@ class TestSolveHomotopy:
         assert np.max(np.abs(rep.body.h - np.roll(rep.body.h, n // 2))) <= 1e-10
         assert rep.volume_residual > 0.0  # margin above half volume
         assert rep.flags == ()
-        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 1.0]
 
     @pytest.mark.parametrize("p,level", [(1.0, 0.045), (2.0, 0.030)])
     def test_grid_refinement(self, p, level):
@@ -340,13 +355,16 @@ class TestSolveHomotopy:
 
     def test_fold_neighbourhood_refused(self):
         # for p < 2 - 2 ln 2 the window starts at the fold sqrt(2 - p); the
-        # first rung stalls from starts up to about 2e-7 above it
+        # first rung stalls from starts up to about 2e-7 above it.  From
+        # 2e-6 above it the direct solve at t = 1 meets a singular system,
+        # and the ladder solves
         p, fold = 0.5, math.sqrt(1.5)
         f = cos_density(256, 0.6 * gauss_constants(2, p).mass_bound / TWO_PI, 0.2, 2)
         with pytest.raises(ValueError, match="outside the window"):
             solve_homotopy(f, p, r_star=fold + 2e-9)
         rep = solve_homotopy(f, p, r_star=fold + 2e-6)
         assert rep.stationarity_residual <= 1e-9
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_distinct_starts_agree(self):
         f = cos_density(512, 0.045, 0.1, 2)
