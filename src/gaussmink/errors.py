@@ -30,7 +30,11 @@ class ConvexityError(ValueError):
 
 
 class SolverStallError(RuntimeError):
-    """Iteration failed to converge; carries the trace accumulated so far."""
+    """Iteration failed to converge; carries the trace accumulated so far.
+
+    A stall of the smooth solver's walk also carries newton_iters, the
+    Newton steps it accepted before stalling.
+    """
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)

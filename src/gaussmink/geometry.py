@@ -40,12 +40,17 @@ _COLLINEAR_TOL = 1e-10     # relative cross-product threshold for redundancy
 _LP_REFINE = 256           # uniform normals added to an L_p (p != 1) combination
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """What np.linalg.norm(v, axis=1) computes, without its per-call overhead."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _as_unit_rows(vectors, tol: float = 1e-9) -> np.ndarray:
     """Validate an (m, d) array of finite unit rows; returns a float copy."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    norms = np.linalg.norm(v, axis=1)
+    norms = _row_norms(v)
     off = np.abs(norms - 1.0)
-    if not np.all(off <= tol):  # a NaN norm fails this test too
+    if not (off <= tol).all():  # a NaN norm fails this test too
         worst = int(np.argmax(np.nan_to_num(off, nan=np.inf)))
         raise ValueError(f"row {worst} is not a unit vector (norm {norms[worst]:.12g})")
     return v / norms[:, None]
@@ -158,7 +163,7 @@ class SupportPolygon:
         """The part of the frame that depends on the normals alone."""
         (x, y), (nx, ny) = normals.T, _rotate(normals, 1).T
         c, s = x * nx + y * ny, x * ny - y * nx
-        if np.any(s <= 0.0):
+        if (s <= 0.0).any():
             raise UnboundedBodyError("consecutive normals must be less than pi apart")
         near = c > 0.0  # tan(turn / 2), in the form that does not cancel
         bend = np.where(near, s, 1.0 - c) / np.where(near, 1.0 + c, s)
@@ -169,11 +174,13 @@ class SupportPolygon:
         h_next, bend = _rotate(support, 1), self.bend
         rise = (h_next - support) / self.turn_sin
         t1, t0 = rise + support * bend, _rotate(rise - h_next * bend, -1)
-        if np.any(t1 <= t0):
+        if (t1 <= t0).any():
             raise ValueError("redundant halfplane (edge of nonpositive length); "
                              "reduce the halfplanes with wulff_shape")
-        x, y = self.normals.T
-        vertices = np.column_stack([support * x - t1 * y, support * y + t1 * x])
+        x, y = self.normals[:, 0], self.normals[:, 1]
+        vertices = np.empty_like(self.normals)
+        np.subtract(support * x, t1 * y, out=vertices[:, 0])
+        np.add(support * y, t1 * x, out=vertices[:, 1])
         _freeze(self, support=support, t0=t0, t1=t1, vertices=vertices)
 
     @cached_property
@@ -222,9 +229,10 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
     Redundancy removal is the convex hull of the polar points nu_i / h_i,
     sorted by angle about the origin.  All points but the anchor (the
     farthest, on the hull) get the left-turn test at once; then the first
-    failing point is dropped and its neighbours retested until none fails.
-    A Graham scan from the anchor drops that point first too, so points near
-    collinear are decided exactly as the scan decides them.
+    failing point after the anchor is dropped and its neighbours retested
+    until none fails.  A Graham scan from the anchor drops that point first
+    too, so points near collinear are decided exactly as the scan decides
+    them.
     """
     normals = _as_unit_rows(normals)
     support = np.asarray(support, dtype=float)
@@ -234,34 +242,37 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
 
     ang = _angles_of(normals)
     order = np.lexsort((support, ang))  # angle asc, then support asc
-    ang_s, sup_s = ang[order], support[order]
+    ang_s = ang[order]
     # Duplicate normals: keep the binding (smallest support) constraint,
     # which the lexsort puts first; ties keep the earlier original index.
-    keep_first = np.ones(len(order), dtype=bool)
-    keep_first[1:] = np.diff(ang_s) > _ANGLE_DEDUP_TOL
-    idx = order[keep_first]
-    ang_d, sup_d, nor_d = ang[idx], support[idx], normals[idx]
+    idx = order[np.concatenate([[True], ang_s[1:] - ang_s[:-1] > _ANGLE_DEDUP_TOL])]
     if len(idx) < 3:
         raise ValueError("need at least 3 distinct normals")
-
-    gaps = np.diff(np.append(ang_d, ang_d[0] + TWO_PI))
-    if gaps.max() >= math.pi - 1e-12:
+    ang_d = ang[idx]
+    gap = max((ang_d[1:] - ang_d[:-1]).max(), ang_d[0] + TWO_PI - ang_d[-1])
+    if gap >= math.pi - 1e-12:
         raise UnboundedBodyError(
             "normals are contained in a closed halfplane; the intersection is unbounded"
         )
 
-    q = nor_d / sup_d[:, None]
-    m = len(q)
-    rot = (np.arange(m) + int(np.argmax(np.einsum("ij,ij->i", q, q)))) % m
-    pts = q[rot]
-    u = pts - pts[np.arange(-1, m - 1)]  # u[j] = p_j - p_{j-1}
-    ok = _left_turns(*u.T, *u[np.arange(1, m + 1) % m].T)
-    ok[0] = True
+    # The cyclic left-turn test needs no rotation to the anchor; only the
+    # order of the retests below starts there.
+    q = normals[idx] / support[idx, None]
+    ring = np.concatenate([q[-1:], q, q[:1]])
+    u = ring[1:] - ring[:-1]  # u[j] = p_j - p_{j-1}, and u[m] = u[0]
+    ok = _left_turns(u[:-1, 0], u[:-1, 1], u[1:, 0], u[1:, 1])
+    anchor = int(np.add.reduce(q * q, axis=1).argmax())  # farthest by |q|^2; its root can tie
+    ok[anchor] = True
+    if ok.all():
+        return idx, normals[idx], support[idx]
+
+    m = len(idx)
+    fails = np.flatnonzero(~ok)
+    split = int(np.searchsorted(fails, anchor))
+    todo = [*fails[:split][::-1].tolist(), *fails[split:][::-1].tolist()]  # first on top
     kept_local, alive = np.ones(m, dtype=bool), m
-    todo = np.flatnonzero(~ok)[::-1].tolist()  # first failure on top
-    if todo:  # the scan state, as lists for the scalar loop below
-        ok, (x, y) = ok.tolist(), pts.T.tolist()
-        prev, succ = [m - 1, *range(m - 1)], [*range(1, m), 0]
+    ok, x, y = ok.tolist(), q[:, 0].tolist(), q[:, 1].tolist()
+    prev, succ = [m - 1, *range(m - 1)], [*range(1, m), 0]
     while todo and alive >= 3:  # the scan stops closing the hull at 2 points
         j = todo.pop()
         if ok[j]:
@@ -269,13 +280,15 @@ def _reduce_halfplanes(normals: np.ndarray, support: np.ndarray):
         ok[j], kept_local[j], alive = True, False, alive - 1
         a, c = prev[j], succ[j]
         succ[a], prev[c] = c, a
-        for k in filter(None, (c, a)):  # new failures precede older ones
+        for k in (c, a):  # new failures precede older ones
+            if k == anchor:
+                continue
             b, e = prev[k], succ[k]
             ok[k] = bool(_left_turns(x[k] - x[b], y[k] - y[b], x[e] - x[k], y[e] - y[k]))
             if not ok[k]:
                 todo.append(k)
 
-    kept = idx[np.sort(rot[kept_local])]  # original indices, ascending angle
+    kept = idx[kept_local]  # original indices, ascending angle
     return kept, normals[kept], support[kept]
 
 
@@ -306,7 +319,7 @@ def _reduced_body(normals, support):
     # The rows are unit, strictly sorted and h_k positive; the constructor's
     # normalization is kept, so the body is bit-identical to SupportPolygon's.
     body = object.__new__(SupportPolygon)
-    body._derive_frame(nu_k / np.linalg.norm(nu_k, axis=1)[:, None])
+    body._derive_frame(nu_k / _row_norms(nu_k)[:, None])
     body._derive_edges(h_k)
     return body, kept
 

@@ -246,11 +246,21 @@ def _rounding_floor(field: SupportField, p: float) -> float:
     return float(np.finfo(float).eps * np.max(a * h) / field.step**2)
 
 
+def _stall(message: str, steps: list, iters: int) -> SolverStallError:
+    """A stall of the walk: its trace is the rungs finished, and its
+    newton_iters counts the Newton steps accepted, theirs and iters more."""
+    exc = SolverStallError(message, trace=list(steps))
+    exc.newton_iters = sum(step.newton_iters for step in steps) + iters
+    return exc
+
+
 def _walk(schedule, field: SupportField, c0: float, f: np.ndarray, p: float,
           newton_tol: float):
     """Solve f_t = (1-t) c0 + t f for each t of schedule in turn, each Newton
     solve starting from the previous field; returns the last field and the
-    trace.  field solves t = 0 exactly, so t = 0 takes no Newton step.
+    trace.  field solves t = 0 exactly, so t = 0 takes no Newton step.  A
+    stall other than at the rounding floor raises the SolverStallError of
+    _stall.
     """
     n = field.resolution
     steps: list[HomotopyStep] = []
@@ -278,8 +288,7 @@ def _walk(schedule, field: SupportField, c0: float, f: np.ndarray, p: float,
                 exc.residual, exc.floor, trace=list(steps),
             ) from None
         except SolverStallError as exc:
-            raise SolverStallError(f"{exc} on the continuation rung t = {t:g}",
-                                   trace=list(steps)) from None
+            raise _stall(f"{exc} on the continuation rung t = {t:g}", steps, iters) from None
         if t > 0.0:
             # one more step, kept if it helps: a quadratic step from the last
             # iterate takes the residual from near newton_tol to round-off
@@ -289,11 +298,8 @@ def _walk(schedule, field: SupportField, c0: float, f: np.ndarray, p: float,
                 iters += 1
         gamma = field_gauss_volume(field)
         if gamma <= 0.5:
-            raise SolverStallError(
-                f"path lost the volume certificate at t = {t:.6g}: "
-                f"gauss volume {gamma:.6g} <= 1/2",
-                trace=list(steps),
-            )
+            raise _stall(f"path lost the volume certificate at t = {t:.6g}: "
+                         f"gauss volume {gamma:.6g} <= 1/2", steps, iters)
         steps.append(
             HomotopyStep(
                 t=t,
@@ -322,8 +328,8 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     step once newton_tol is met, kept only when it lowers the residual.
     Every t reached is volume-checked and recorded as a HomotopyStep.  The
     report carries the solution field, the max-norm equation residual, the
-    volume margin above 1/2, and the trace and Newton step count of the walk
-    that succeeded.
+    volume margin above 1/2, the trace of the walk that succeeded, and the
+    Newton steps accepted by both walks when the ladder ran.
 
     newton_tol is the max-norm residual each Newton solve must reach.  The
     default 1e-11 lies above the rounding floor (module docstring) up to
@@ -371,11 +377,13 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
             f"({floor:.6g} + 1e-6, {R_STAR_CEILING:g}] for p = {p:g}")
     c0 = constant_field_density(r0, p)
     start = SupportField(np.full(n, r0))
+    spent = 0  # Newton steps of a failed direct solve
     try:
         field, steps = _walk((0.0, 1.0), start, c0, f, p, newton_tol)
     except RoundingFloorError:
         raise  # the floor does not depend on t: the ladder would stall too
-    except SolverStallError:
+    except SolverStallError as exc:
+        spent = exc.newton_iters
         field, steps = _walk((0.0, *T_LADDER), start, c0, f, p, newton_tol)
 
     density = smooth_lp_density(field, p)
@@ -384,7 +392,7 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
         multiplier=float(density @ f / (f @ f)),
         volume_residual=steps[-1].gauss_volume - 0.5,
         stationarity_residual=float(np.max(np.abs(density - f))),
-        iterations=sum(step.newton_iters for step in steps),
+        iterations=spent + sum(step.newton_iters for step in steps),
         homotopy_trace=tuple(steps),
         flags=tuple(flags),
         objective_trace=(),

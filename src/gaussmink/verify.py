@@ -54,6 +54,25 @@ _T_FIRST, _T_ALWAYS, _T_COUNT = 1e-3, 3, 7
 _MEASURE_TOL, _BODY_TOL = 1e-8, 1e-6  # uniqueness: equal measures, equal bodies
 
 
+class _BuiltOnRead:
+    """Data descriptor of a str field that may be set to a function of no
+    arguments instead: the first read calls it and keeps its result."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            raise AttributeError(self.slot[1:])  # so the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one property check.
@@ -61,13 +80,15 @@ class CheckResult:
     worst_violation is signed: positive means the property was broken by
     that amount, zero or negative means it held with margin.  The witness
     string serializes the offending (or worst-margin) inputs so the case
-    can be replayed.
+    can be replayed.  The checks pass a function that builds it, called
+    on the first read of witness: the suite keeps one instance per row,
+    and only its witness is ever built.
     """
 
     name: str
     passed: bool
     worst_violation: float
-    witness: str
+    witness: str = _BuiltOnRead()  # no default value: see _BuiltOnRead.__get__
     tolerance_used: float
 
     def __post_init__(self):
@@ -75,7 +96,8 @@ class CheckResult:
             raise ValueError("passed must equal worst_violation <= tolerance_used")
 
 
-def _result(name: str, worst: float, witness: str, tol: float) -> CheckResult:
+def _result(name: str, worst: float, witness, tol: float) -> CheckResult:
+    """The check's CheckResult; witness is a function returning its str."""
     return CheckResult(name, bool(worst <= tol), float(worst), witness, float(tol))
 
 
@@ -97,7 +119,7 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
     fewer than two t values keep every facet of the body, the walk goes on
     to smaller t, up to j = 6.
     """
-    f = np.asarray(f, dtype=float)
+    f = np.array(f, dtype=float)  # a copy: the witness reads it later
     if f.shape != (body.num_edges,):
         raise ValueError("f must be sampled on the body's edge normals")
     if np.any(f <= 0.0):
@@ -123,15 +145,15 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
             continue
         slopes[t] = (gauss_volume_exact(body_t) - base) / t
     if len(slopes) < 2:
-        witness = json.dumps({"error": "not enough usable t values",
-                              "skipped": skipped, "p": p})
-        return _result("variational-formula", math.inf, witness, 1e-4)
+        return _result("variational-formula", math.inf, lambda: json.dumps({
+            "error": "not enough usable t values", "skipped": skipped, "p": p,
+        }), 1e-4)
 
     ts = sorted(slopes)  # ascending; pair the two smallest for extrapolation
     fitted_c = max(abs(slopes[t] - measure_side) / t for t in ts)
     extrapolated = 2.0 * slopes[ts[0]] - slopes[ts[1]]
     worst = abs(extrapolated - measure_side) / abs(measure_side)
-    witness = json.dumps({
+    return _result("variational-formula", worst, lambda: json.dumps({
         "p": p,
         "measure_side": measure_side,
         "extrapolated": extrapolated,
@@ -139,8 +161,7 @@ def check_variational_formula(body: SupportPolygon, f, p: float) -> CheckResult:
         "skipped_t": skipped,
         "body": _body_witness(body),
         "f": np.round(f, 12).tolist(),
-    })
-    return _result("variational-formula", worst, witness, 1e-4)
+    }), 1e-4)
 
 
 @functools.lru_cache(maxsize=8)
@@ -169,14 +190,12 @@ def check_ehrhard(K: SupportPolygon, L: SupportPolygon,
         violation = (1.0 - lam) * qK + lam * qL - lhs
         if violation > worst:
             worst, worst_lam = violation, lam
-    equality = body_hausdorff_distance(K, L) <= 1e-12
-    witness = json.dumps({
+    return _result("ehrhard", worst, lambda: json.dumps({
         "lambda": worst_lam,
-        "equality_case": equality,
+        "equality_case": body_hausdorff_distance(K, L) <= 1e-12,
         "K": _body_witness(K),
         "L": _body_witness(L),
-    })
-    return _result("ehrhard", worst, witness, UNIFORM_SLACK)
+    }), UNIFORM_SLACK)
 
 
 def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
@@ -199,13 +218,12 @@ def check_log_concavity(K: SupportPolygon, L: SupportPolygon,
         violation = gK ** (1.0 - lam) * gL**lam - _combination_volume(K, L, lam, p)
         if violation > worst:
             worst, worst_lam = violation, lam
-    witness = json.dumps({
+    return _result("log-concavity", worst, lambda: json.dumps({
         "p": p,
         "lambda": worst_lam,
         "K": _body_witness(K),
         "L": _body_witness(L),
-    })
-    return _result("log-concavity", worst, witness, tol)
+    }), tol)
 
 
 def check_mixed_measure_inequality(K: SupportPolygon, L: SupportPolygon,
@@ -222,16 +240,15 @@ def check_mixed_measure_inequality(K: SupportPolygon, L: SupportPolygon,
     masses = lp_gauss_surface_polygon(K, p)
     own = float(K.support**p @ masses)
     other = float(support_profile(L, K.normals) ** p @ masses)
-    violation = own - other
-    witness = json.dumps({
+    # the witness reads K and L as rebound here, rescaled to volume 1/2
+    return _result("mixed-measure", own - other, lambda: json.dumps({
         "p": p,
         "own_integral": own,
         "cross_integral": other,
         "hausdorff": body_hausdorff_distance(K, L),
         "K": _body_witness(K),
         "L": _body_witness(L),
-    })
-    return _result("mixed-measure", violation, witness, UNIFORM_SLACK)
+    }), UNIFORM_SLACK)
 
 
 def is_origin_symmetric(body: SupportPolygon) -> bool:
@@ -254,23 +271,21 @@ def check_isoperimetric(K: SupportPolygon, p: float = 1.0) -> CheckResult:
     total = float(lp_gauss_surface_polygon(K, p).sum())
     bound = gauss_constants(2, p).mass_bound
     violation = (bound - total) / bound  # relative shortfall
-    witness = json.dumps({
+    return _result("isoperimetric", violation, lambda: json.dumps({
         "p": p,
         "total": total,
         "bound": bound,
         "K": _body_witness(K),
-    })
-    return _result("isoperimetric", violation, witness, UNIFORM_SLACK)
+    }), UNIFORM_SLACK)
 
 
 def check_ball_bound(K: SupportPolygon) -> CheckResult:
     """Dimensional cap on total Gaussian surface area: 4 n^(1/4) in the plane."""
     total = float(gauss_surface_polygon(K).sum())
     bound = BALL_SURFACE_BOUND
-    violation = total - bound
-    witness = json.dumps({"total": total, "bound": bound,
-                          "K": _body_witness(K)})
-    return _result("ball-bound", violation, witness, UNIFORM_SLACK)
+    return _result("ball-bound", total - bound, lambda: json.dumps({
+        "total": total, "bound": bound, "K": _body_witness(K),
+    }), UNIFORM_SLACK)
 
 
 def check_uniqueness(K: SupportPolygon, L: SupportPolygon,
@@ -287,28 +302,25 @@ def check_uniqueness(K: SupportPolygon, L: SupportPolygon,
     gK = gauss_volume_exact(K)
     gL = gauss_volume_exact(L)
     if min(gK, gL) < 0.5 - 1e-9:
-        witness = json.dumps({
+        return _result("uniqueness", 0.0, lambda: json.dumps({
             "skipped": "volume hypothesis fails, non-uniqueness regime",
             "gauss_volume_K": gK,
             "gauss_volume_L": gL,
-        })
-        return _result("uniqueness", 0.0, witness, _BODY_TOL)
+        }), _BODY_TOL)
 
     gap = _measure_gap(lp_surface_measure(K, p), lp_surface_measure(L, p))
     distance = body_hausdorff_distance(K, L)
     if gap > _MEASURE_TOL:
-        witness = json.dumps({
+        return _result("uniqueness", 0.0, lambda: json.dumps({
             "antecedent": f"measures differ by {gap:.6g} > {_MEASURE_TOL:g}",
             "hausdorff": distance,
-        })
-        return _result("uniqueness", 0.0, witness, _BODY_TOL)
-    witness = json.dumps({
+        }), _BODY_TOL)
+    return _result("uniqueness", distance, lambda: json.dumps({
         "measure_gap": gap,
         "hausdorff": distance,
         "gauss_volume_K": gK,
         "gauss_volume_L": gL,
-    })
-    return _result("uniqueness", distance, witness, _BODY_TOL)
+    }), _BODY_TOL)
 
 
 def _measure_gap(mu, nu) -> float:
@@ -329,7 +341,8 @@ def run_suite(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     """Randomized sweep of every check family; one aggregated row each.
 
     Deterministic in `seed`.  Each family's row carries the worst violation
-    over its instances and the witness of that worst case.
+    over its instances and the witness of that worst case, which is the
+    only witness of the row that is built.
     """
     if instances < 1:
         raise ValueError("instances must be positive")

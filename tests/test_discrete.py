@@ -292,6 +292,15 @@ class TestSolveConstrained:
         h_minus = support_profile(rep.body, -mu.directions[:6])
         assert np.max(np.abs(h_plus - h_minus)) <= 1e-8
 
+    @given(st.integers(0, 149), st.sampled_from([1.0, 1.5, 2.0, 5.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_even_measures_give_symmetric_bodies(self, seed, p):
+        # symmetric to rounding: h(-nu) = h(nu) on every facet normal
+        mu = random_even_measure(np.random.default_rng(seed))
+        body = solve_constrained(VariationalProblem(mu, p)).body
+        gap = np.max(np.abs(support_profile(body, -body.normals) - body.support))
+        assert gap <= 1e-13 * np.max(body.support)
+
     def test_objective_trace_contracts_to_reported_body(self):
         # Newton's tail approaches the constrained optimum: each of the last
         # three jumps of the trace is at most 0.75 of the one before (the

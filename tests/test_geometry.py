@@ -1,5 +1,6 @@
 """Polygon construction, duality, combinations, discrete measures, support fields."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from gaussmink.geometry import (
     scale_body,
     support_profile,
     wulff_shape,
+    wulff_shape_with_indices,
 )
 from gaussmink.geometry import (_ANGLE_DEDUP_TOL, _COLLINEAR_TOL, _angles_of, _as_unit_rows,
                                 _reduce_halfplanes)
@@ -360,6 +362,58 @@ def outcome(build):
         return frame_bytes(build())
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def digest_panel():
+    """Seeded reductions for the bit pin: (normals, support) pairs, random,
+    with repeated rows and equal supports, near collinear, on a circle,
+    300 normals, and unbounded or too few.  Normals are (x, y) / sqrt(x^2 + y^2) of uniform
+    draws, so each input is the same IEEE value on any platform."""
+    rng = np.random.default_rng(20261020)
+
+    def unit(m, x_low=-1.0):
+        xy = np.column_stack([rng.uniform(x_low, 1.0, m), rng.uniform(-1.0, 1.0, m)])
+        return xy / np.sqrt(xy[:, :1] ** 2 + xy[:, 1:] ** 2)
+
+    panel = []
+    for _ in range(40):
+        m = int(rng.integers(3, 25))
+        panel.append((unit(m), rng.uniform(0.2, 3.0, m)))
+    for _ in range(20):
+        nu = unit(int(rng.integers(4, 16)))
+        rows = rng.integers(0, len(nu), 2 * len(nu))
+        h = rng.choice([0.5, 1.0, 2.0], len(rows))
+        panel.append((nu[rows], h))
+    for _ in range(10):
+        nu = unit(int(rng.integers(50, 200)))
+        nu = nu[np.argsort(np.arctan2(nu[:, 1], nu[:, 0]))]
+        panel.append((nu, 1.0 + rng.uniform(0.0, 1e-11, len(nu))))
+    for _ in range(10):
+        m = int(rng.integers(8, 40))
+        panel.append((unit(m), np.ones(m)))  # every polar point on the hull
+    for _ in range(5):
+        panel.append((unit(300), rng.uniform(0.5, 1.5, 300)))
+    panel.append((unit(2)[[0, 1, 0, 1]], np.ones(4)))  # two distinct normals
+    for _ in range(5):
+        m = int(rng.integers(3, 30))
+        panel.append((unit(m, x_low=0.05), rng.uniform(0.2, 3.0, m)))
+    return panel
+
+
+def test_reduction_bits_are_pinned():
+    # sha256 of every frame array and kept index of the panel's reductions,
+    # and the error type and message of those refused, as the reduction
+    # gave before its per-call overhead was cut
+    digest = hashlib.sha256()
+    for normals, support in digest_panel():
+        try:
+            body, kept = wulff_shape_with_indices(normals, support)
+        except ValueError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        digest.update(b"".join(frame_bytes(body)) + body.bend.tobytes() + kept.tobytes())
+    assert digest.hexdigest() == (
+        "71be16b5870de0d6c4e0ab14b2d307620b22bdefe69a523754c9a2d34d181a0a")
 
 
 class TestConstructionPaths:

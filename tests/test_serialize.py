@@ -122,6 +122,25 @@ class TestDumpsJson:
         assert [a["mass"] for a in payload["atoms"]] == reference_sig_list(mu.masses)
         assert serialize.dumps_json(payload) == reference_dumps(payload)
 
+    def test_regular_4096_gon_body(self):
+        payload = serialize.body_to_dict(regular_body(4096, 1.0))
+        assert serialize.dumps_json(payload) == reference_dumps(payload)
+
+    @given(st.lists(st.lists(finite, min_size=2, max_size=2), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_pair_lists(self, rows):
+        payload = {"normals": rows, "support": [row[0] for row in rows]}
+        assert serialize.dumps_json(payload) == reference_dumps(payload)
+
+    @given(st.lists(st.lists(finite, min_size=2, max_size=2)
+                    | st.lists(st.floats() | st.integers(-3, 3), max_size=3),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_lists_of_other_rows(self, rows):
+        # rows of other lengths or types, NaN, inf and sums that overflow
+        # among [x, y] pairs are written as json writes them
+        assert serialize.dumps_json({"rows": rows}) == reference_dumps({"rows": rows})
+
     def test_other_values_take_json_text(self):
         # non-float scalars, empty containers, NaN and a float list whose
         # sum overflows are written as json writes them

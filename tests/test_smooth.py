@@ -366,6 +366,37 @@ class TestSolveHomotopy:
         assert rep.stationarity_residual <= 1e-9
         assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_fallback_counts_the_failed_attempts_steps(self, monkeypatch):
+        # the fold case above: the direct solve accepts one Newton step and
+        # then meets a singular system; the ladder's steps add to that one
+        calls = {"accepted": 0, "raised": 0}
+        kept_final = []
+        newton_step, final_step = smooth.newton_step, smooth._final_step
+
+        def counted_newton_step(*args):
+            try:
+                found = newton_step(*args)
+            except SolverStallError:
+                calls["raised"] += 1
+                raise
+            calls["accepted"] += 1
+            return found
+
+        def counted_final_step(field, *args):
+            found = final_step(field, *args)
+            kept_final.append(found[0] is not field)
+            return found
+
+        monkeypatch.setattr(smooth, "newton_step", counted_newton_step)
+        monkeypatch.setattr(smooth, "_final_step", counted_final_step)
+        p = 0.5
+        f = cos_density(256, 0.6 * gauss_constants(2, p).mass_bound / TWO_PI, 0.2, 2)
+        rep = solve_homotopy(f, p, r_star=math.sqrt(1.5) + 2e-6)
+        assert calls == {"accepted": 18, "raised": 1}
+        assert rep.iterations == calls["accepted"] + sum(kept_final) == 19
+        assert [s.t for s in rep.homotopy_trace] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert sum(s.newton_iters for s in rep.homotopy_trace) == 18
+
     def test_distinct_starts_agree(self):
         f = cos_density(512, 0.045, 0.1, 2)
         rep1 = solve_homotopy(f, 1.0, r_star=1.5)

@@ -488,6 +488,28 @@ class TestSuiteRunner:
         assert [r.worst_violation for r in a] == [r.worst_violation for r in b]
         assert [r.witness for r in a] == [r.witness for r in b]
 
+    def test_witnesses_read_at_once_are_the_same(self, monkeypatch):
+        # a check builds its witness when it is first read; read as soon as
+        # each check returns, the rows' witnesses are the same bytes
+        deferred = [[r.witness for r in run_suite(s, 20)] for s in range(6)]
+        for name in [n for n in vars(verify) if n.startswith("check_")]:
+            def read_at_once(*args, _check=getattr(verify, name), **kwargs):
+                result = _check(*args, **kwargs)
+                assert isinstance(result.witness, str)
+                return result
+            monkeypatch.setattr(verify, name, read_at_once)
+        assert [[r.witness for r in run_suite(s, 20)] for s in range(6)] == deferred
+
+    def test_hausdorff_distances_only_for_kept_witnesses(self, monkeypatch):
+        # one each for the ehrhard and mixed-measure rows' witnesses, and
+        # one per uniqueness instance, whose violation it is
+        calls = []
+        distance = verify.body_hausdorff_distance
+        monkeypatch.setattr(verify, "body_hausdorff_distance",
+                            lambda K, L: calls.append(None) or distance(K, L))
+        rows = run_suite(0, 20)
+        assert [json.loads(r.witness) for r in rows] and len(calls) <= 4
+
     def test_table_format(self):
         rows = run_suite(seed=2, instances=2)
         table = format_table(rows)
