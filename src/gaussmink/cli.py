@@ -97,14 +97,15 @@ def _emit_report(args, report) -> int:
     return EXIT_OK
 
 
-def _require_input(args, expected: str):
+def _require_input(args, *kinds: str):
+    """(kind, object) decoded from --input, whose kind must be one of kinds."""
     if args.input_path is None:
         raise ValueError(f"{args.command} requires --input")
     kind, obj = serialize.load_input(args.input_path)
-    if kind != expected:
-        raise ValueError(f"{args.command} expects a {expected} file, "
+    if kind not in kinds:
+        raise ValueError(f"{args.command} expects a {' or '.join(kinds)} file, "
                          f"got a {kind} file")
-    return obj
+    return kind, obj
 
 
 def _cmd_constants(args) -> int:
@@ -113,7 +114,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    body = _require_input(args, "body")
+    _, body = _require_input(args, "body")
     if args.output_path is not None:
         # lp_surface_measure refuses a body whose edge masses all underflow
         # to 0: fail before anything is printed
@@ -125,7 +126,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_solve_discrete(args) -> int:
-    mu, file_p = _require_input(args, "measure")
+    _, (mu, file_p) = _require_input(args, "measure")
     prob = VariationalProblem(mu, file_p if args.p is None else args.p,
                               stationarity_tol=args.tol)
     return _emit_report(args, solve_constrained(prob))
@@ -141,7 +142,7 @@ def _cmd_solve_smooth(args) -> int:
         source = "--input" if args.family is None else f"--family {args.family}"
         raise ValueError(f"solve-smooth {source} does not read {', '.join(unread)}")
     if args.family is None:
-        values = _require_input(args, "density")
+        _, values = _require_input(args, "density")
     elif args.family == "cos":
         values = cos_density(**grid)
     else:  # the constant density is the cos one at amplitude 0
@@ -157,17 +158,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    if args.input_path is None:
-        raise ValueError("plot requires --input")
-    kind, obj = serialize.load_input(args.input_path)
-    if kind == "body":
-        drawable = obj
-    elif kind == "density":
-        # theta-implicit values are read back as a support field
-        drawable = SupportField(obj)
-    else:
-        raise ValueError(f"plot expects a body or field file, got a {kind} file")
-    _emit(args, serialize.boundary_svg(drawable))
+    kind, obj = _require_input(args, "body", "density")
+    # theta-implicit values are read back as a support field
+    _emit(args, serialize.boundary_svg(SupportField(obj) if kind == "density" else obj))
     return EXIT_OK
 
 

@@ -97,15 +97,15 @@ class VariationalProblem:
     p: float
     target_volume: float = 0.5
     stationarity_tol: float = 1e-4
-    volume_tol: float = 1e-8
+    volume_tol = 1e-8  # bound on |volume residual|; unannotated, so not a field
 
     def __post_init__(self):
         if not 0.0 < self.p < math.inf:
             raise ValueError(f"exponent p must be positive and finite, got p = {self.p:g}")
         if not 0.0 < self.target_volume < 1.0:
             raise ValueError("target volume must lie in (0, 1)")
-        if not (self.stationarity_tol > 0.0 and self.volume_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.stationarity_tol > 0.0:
+            raise ValueError("stationarity_tol must be positive")
 
 
 def _volume_hessian_bands(body: SupportPolygon, grad: np.ndarray):
@@ -147,12 +147,14 @@ def solve_constrained(prob: VariationalProblem) -> SolveReport:
     """Minimize phi subject to the Gaussian volume constraint.
 
     Raises HemisphereConditionError for a measure concentrated on a closed
-    hemisphere and SolverStallError (with the objective trace) when Newton
-    stops short of the problem's tolerances.
+    hemisphere, that is, with hemisphere_margin at most 1e-8 times its total
+    mass (the rest of the solve is scale-free too), and SolverStallError
+    (with the objective trace) when Newton stops short of the problem's
+    tolerances.
     """
     mu, p = prob.mu, prob.p
     margin = hemisphere_margin(mu)
-    if not margin > 1e-8:
+    if not margin > 1e-8 * mu.total_mass:
         raise HemisphereConditionError(
             f"measure is concentrated on a closed hemisphere (margin {margin:.3g}): "
             "translates of a halfplane-like body lower the objective without "

@@ -14,9 +14,10 @@ relative; for tiny bodies the per-sector cancellation leaves an absolute error
 near 1e-17.  An independent Monte Carlo route (the fraction of standard normal
 draws landing inside the body) cross-checks both.
 
-Only ball_radius keeps a dimension argument n: it inverts gamma_n(r B) =
-P(n/2, r^2/2), the regularized lower incomplete gamma function, for the
-reference constants of any dimension.
+Only the reference constants keep a dimension n (gauss_constants(n, p),
+GaussConstants.n, and ball_radius, which inverts gamma_n(r B) =
+P(n/2, r^2/2), the regularized lower incomplete gamma function); the
+bodies, measures and forward maps are planar.
 
 The surface area measure of a polygon concentrates on its edge normals; the
 mass of an edge at distance h from the origin is the exact one-dimensional

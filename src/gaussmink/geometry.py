@@ -41,13 +41,17 @@ _LP_REFINE = 256           # uniform normals added to an L_p (p != 1) combinatio
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """What np.linalg.norm(v, axis=1) computes, without its per-call overhead."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
+    """np.linalg.norm(v, axis=1) of (m, 2) rows, without its per-call overhead."""
+    x, y = v[:, 0], v[:, 1]
+    return np.sqrt(x * x + y * y)
 
 
 def _as_unit_rows(vectors, tol: float = 1e-9) -> np.ndarray:
-    """Validate an (m, d) array of finite unit rows; returns a float copy."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    """Validate a nonempty (m, 2) array of finite unit rows, or one row; returns a copy."""
+    v = np.asarray(vectors, dtype=float)
+    if v.shape[-1:] != (2,) or v.ndim > 2 or not v.size:
+        raise ValueError(f"directions must be a nonempty (m, 2) array, got shape {v.shape}")
+    v = np.atleast_2d(v)
     norms = _row_norms(v)
     off = np.abs(norms - 1.0)
     if not (off <= tol).all():  # a NaN norm fails this test too
@@ -336,9 +340,11 @@ def _support_values(body: SupportPolygon, d: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _direction_grid(resolution: int) -> np.ndarray:
-    """Read-only validated unit rows at the angles 2 pi k / resolution."""
+    """Read-only unit rows at the angles 2 pi k / resolution, normalized as
+    _as_unit_rows normalizes them (no rows for resolution 0)."""
     theta = TWO_PI * np.arange(resolution) / resolution
-    grid = _as_unit_rows(np.column_stack([np.cos(theta), np.sin(theta)]))
+    grid = np.column_stack([np.cos(theta), np.sin(theta)])
+    grid /= _row_norms(grid)[:, None]
     grid.setflags(write=False)
     return grid
 
@@ -422,12 +428,10 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        directions = _as_unit_rows(self.directions, tol=1e-9)
-        masses = np.array(self.masses, dtype=float)
         if self.dimension != 2:
             raise ValueError("only planar measures are supported")
-        if directions.shape[1] != 2:
-            raise ValueError("direction dimension mismatch")
+        directions = _as_unit_rows(self.directions, tol=1e-9)
+        masses = np.array(self.masses, dtype=float)
         if masses.shape != (directions.shape[0],):
             raise ValueError("one mass per direction required")
         if np.any(masses <= 0.0) or not np.all(np.isfinite(masses)):

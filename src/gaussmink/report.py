@@ -38,11 +38,6 @@ class SolveReport:
         for name in ("multiplier", "volume_residual", "stationarity_residual"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
-        object.__setattr__(self, "homotopy_trace", tuple(self.homotopy_trace))
-        object.__setattr__(self, "flags", tuple(self.flags))
-        object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
 
 def certificate_flags(p: float, even: bool, total_mass: float) -> list[str]:

@@ -90,16 +90,9 @@ def dumps_json(payload: dict) -> str:
 
     json runs its C encoder only without indent, so the indented layout is
     built here.  A list of finite floats, the bulk of every payload, is
-    joined from float.__repr__, the text json writes for each; a list of
-    [x, y] lists of finite floats, a body's normals, is written row by row
-    from one format.
+    joined from float.__repr__, the text json writes for each.
     """
     return _indented(payload, "\n") + "\n"
-
-
-def _finite_floats(values: list) -> bool:
-    """Every item a float and their sum finite (a sum that overflows is not)."""
-    return set(map(type, values)) == {float} and math.isfinite(sum(values))
 
 
 def _indented(value, newline: str) -> str:
@@ -109,13 +102,9 @@ def _indented(value, newline: str) -> str:
                  for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
-        if _finite_floats(value):
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
             items = map(float.__repr__, value)
-        elif (set(map(type, value)) == {list} and set(map(len, value)) == {2}
-              and _finite_floats([v for row in value for v in row])):
-            deeper = inner + "  "
-            items = [f"[{deeper}{x!r},{deeper}{y!r}{inner}]" for x, y in value]
-        else:  # other scalars and nesting
+        else:  # other scalars and nesting; a sum that overflows lands here too
             items = [_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value)

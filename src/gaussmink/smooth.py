@@ -77,18 +77,6 @@ class HomotopyStep:
     min_convexity: float
     gauss_volume: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        if self.newton_iters < 0:
-            raise ValueError("newton_iters must be nonnegative")
-        if not (math.isfinite(self.residual) and self.residual >= 0.0):
-            raise ValueError("residual must be finite and nonnegative")
-        if not self.min_convexity > 0.0:
-            raise ValueError("accepted step must have positive convexity surrogate")
-        if not self.gauss_volume > 0.5:
-            raise ValueError("accepted step must have Gaussian volume above 1/2")
-
 
 def linearized_guard(r0: float, p: float, resolution: int) -> bool:
     """True when the linearization at h = r0 has no near-zero eigenvalue.

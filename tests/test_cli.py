@@ -3,16 +3,22 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussmink import cli, serialize, smooth
+import gaussmink
+from gaussmink import cli, discrete, serialize, smooth
 from gaussmink.cli import build_parser, main
 from gaussmink.errors import SolverStallError
-from gaussmink.families import cos_density, square_surface_measure
+from gaussmink.families import (cos_density, random_spanning_measure,
+                                square_surface_measure, uniform_mgon_measure)
 from gaussmink.gaussian import (gauss_constants, gauss_volume_exact,
                                 lp_gauss_surface_polygon)
 from gaussmink.geometry import (DiscreteMeasure, SupportField, box_polygon,
@@ -323,6 +329,15 @@ class TestConstantsCommand:
     def test_invalid_dimension(self, capsys):
         assert main(["constants", "--n", "1"]) == 2
 
+    def test_module_entry_point(self, capsys):
+        # python -m gaussmink.cli runs main through the module's __main__ guard
+        env = {**os.environ, "PYTHONPATH": str(Path(gaussmink.__file__).parents[1])}
+        argv = ["constants", "--n", "2", "--p", "1"]
+        run = subprocess.run([sys.executable, "-m", "gaussmink.cli", *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert main(argv) == 0
+        assert run.stdout == capsys.readouterr().out and run.stderr == ""
+
     def test_resolution_flag_not_accepted(self, capsys):
         # constants reads no grid: --resolution is an argparse error naming
         # the flag, not a range check on a value nobody uses
@@ -402,6 +417,10 @@ class TestMeasureCommand:
         assert f"{path} is not valid JSON" in err and "Traceback" not in err
 
 
+def _singular_system(*args):
+    raise SolverStallError("singular cyclic-tridiagonal system")
+
+
 class TestSolveDiscreteCommand:
     def test_square_round_trip(self, tmp_path, capsys):
         mu_path = tmp_path / "mu.json"
@@ -445,6 +464,36 @@ class TestSolveDiscreteCommand:
         err = capsys.readouterr().err
         assert "hemisphere" in err
         assert "without bound" in err
+
+    def test_light_octagon_solves(self, tmp_path, capsys):
+        # total mass 1e-8: the hemisphere margin, 3.02e-9, sat below an
+        # absolute gate at 1e-8, and the run exited 2
+        path = tmp_path / "mu.json"
+        path.write_text(serialize.dumps_json(
+            serialize.measure_to_dict(uniform_mgon_measure(8, 1e-8), 1.5)))
+        assert main(["solve-discrete", "--input", str(path)]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["multiplier"] == "2.65997823e-08" and kv["iterations"] == "0"
+
+    @pytest.mark.parametrize("name,value,stop", [
+        ("MAX_STEPS", 2, "2 steps (step limit 2): |volume residual| = 0.00169, "
+                         "stationarity residual = 0.254"),
+        ("MAX_HALVINGS", 0, "0 steps (rounding floor: no step halving reduces the "
+                            "residual): |volume residual| = 0, stationarity residual = 5"),
+        ("solve_cyclic_tridiagonal", _singular_system, "0 steps (singular KKT matrix): "
+         "|volume residual| = 0, stationarity residual = 5"),
+    ], ids=["step-limit", "halvings-exhausted", "singular"])
+    def test_newton_kkt_stops_are_non_convergence(self, name, value, stop, monkeypatch,
+                                                  tmp_path, capsys):
+        # unpatched, this measure solves in 6 Newton steps at p = 1.5
+        monkeypatch.setattr(discrete, name, value)
+        mu = random_spanning_measure(np.random.default_rng(3), 20, 64)
+        path = tmp_path / "mu.json"
+        path.write_text(serialize.dumps_json(serialize.measure_to_dict(mu, 1.5)))
+        assert main(["solve-discrete", "--input", str(path)]) == 3
+        error, summary = capsys.readouterr().err.splitlines()
+        assert error == f"error: Newton-KKT stopped after {stop}"
+        assert summary.startswith(f"trace: {stop[0]} Newton steps, last phi = ")
 
     @pytest.mark.parametrize("atoms", [
         [{"direction": [1, 0], "mass": 0.2}, {"direction": [-1, 0]}],
@@ -645,6 +694,28 @@ class TestSolveSmoothCommand:
         assert summary == ("trace: 0 accepted continuation steps, "
                            "last accepted t = 0")
 
+    def test_damping_failure_off_the_floor(self, tmp_path, capsys):
+        # a narrow bump on a low floor, at 0.85 of the mass bound for p = 0.5:
+        # the direct solve and the ladder both stall well above the rounding
+        # floor, the ladder on its last rung
+        theta = 2.0 * math.pi * np.arange(256) / 256
+        d = np.angle(np.exp(1j * theta))  # the angle to 0, wrapped into (-pi, pi]
+        g = 0.05 + 5.0 * np.exp(-0.5 * (d / 0.3) ** 2)
+        g *= 0.85 * gauss_constants(2, 0.5).mass_bound / (2.0 * math.pi * g.mean())
+        path = tmp_path / "bump.json"
+        path.write_text(serialize.dumps_json(serialize.density_to_dict(g)))
+        assert main(["solve-smooth", "--input", str(path), "--p", "0.5"]) == 3
+        assert capsys.readouterr().err == (
+            "error: damped Newton step failed to reduce the residual on the "
+            "continuation rung t = 1\n"
+            "trace: 3 accepted continuation steps, last accepted t = 0.75\n")
+
+    def test_lost_volume_certificate(self, monkeypatch, capsys):
+        monkeypatch.setattr(smooth, "field_gauss_volume", lambda field: 0.5)
+        assert main(["solve-smooth", "--family", "constant"]) == 3
+        assert capsys.readouterr().err == ("error: path lost the volume certificate "
+                                           "at t = 0: gauss volume 0.5 <= 1/2\n")
+
     def test_tolerance_above_rounding_floor(self, capsys):
         assert main(["solve-smooth", "--family", "cos", "--resolution", "8192",
                      "--tol", "1e-10"]) == 0
@@ -722,6 +793,16 @@ class TestPlotCommand:
         path.write_text(serialize.dumps_json(
             serialize.measure_to_dict(square_surface_measure())))
         assert main(["plot", "--input", str(path)]) == 2
+
+    def test_wrong_kind_names_the_kinds_read(self, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(serialize.dumps_json(
+            serialize.measure_to_dict(square_surface_measure())))
+        assert main(["plot", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: plot expects a body or density file, got a measure file\n")
+        assert main(["plot"]) == 2
+        assert capsys.readouterr().err == "error: plot requires --input\n"
 
 
 class TestGenerateCommand:

@@ -21,6 +21,7 @@ from gaussmink.discrete import (
 from gaussmink.errors import HemisphereConditionError, SolverStallError
 from gaussmink.families import (
     cos_density,
+    hemisphere_bad_measure,
     random_even_measure,
     random_spanning_measure,
     square_surface_measure,
@@ -222,7 +223,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             VariationalProblem(ring_measure(8, 0.3), 1.0, target_volume=1.5)
 
-    @pytest.mark.parametrize("name", ["p", "stationarity_tol", "volume_tol"])
+    @pytest.mark.parametrize("name", ["p", "stationarity_tol"])
     def test_nan_refused(self, name):
         # every comparison with NaN is false, so `x <= 0` would let it through
         with pytest.raises(ValueError):
@@ -387,6 +388,29 @@ class TestSolveConstrained:
         with pytest.raises(HemisphereConditionError):
             solve_constrained(VariationalProblem(mu, 1.0))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+    def test_hemisphere_gate_refuses_at_every_scale(self, scale):
+        bad = hemisphere_bad_measure()
+        mu = DiscreteMeasure(2, bad.directions, scale * bad.masses)
+        with pytest.raises(HemisphereConditionError, match="closed hemisphere"):
+            solve_constrained(VariationalProblem(mu, 1.0))
+
+    @pytest.mark.parametrize("total", [1e-8, 1e-12, 1e-30])
+    def test_light_octagon_passes_the_hemisphere_gate(self, total):
+        # margin 0.302 total: an absolute gate at 1e-8 refused these octagons
+        rep = solve_constrained(VariationalProblem(uniform_mgon_measure(8, total), 1.5))
+        assert rep.iterations == 0
+        assert rep.multiplier / total == pytest.approx(2.65998, rel=1e-5)
+
+    def test_scaled_measure_solves_to_the_same_body(self):
+        mu = random_spanning_measure(np.random.default_rng(1), 20, 64)
+        tiny = DiscreteMeasure(2, mu.directions, 1e-10 * mu.masses)
+        rep, small = (solve_constrained(VariationalProblem(m, 1.5)) for m in (mu, tiny))
+        assert small.iterations == rep.iterations
+        np.testing.assert_allclose(small.body.support, rep.body.support, rtol=1e-12)
+        assert (small.multiplier / tiny.total_mass
+                == pytest.approx(rep.multiplier / mu.total_mass, rel=1e-12))
+
     @pytest.mark.parametrize("p,target,radius", [
         (2200.0, 0.5, "1.17741"), (3000.0, 0.5, "1.17741"), (4500.0, 0.5, "1.17741"),
         (1e6, 0.5, "1.17741"), (2000.0, 0.2, "0.668047")])
@@ -404,7 +428,7 @@ class TestSolveConstrained:
 
     def test_impossible_tolerance_stalls(self):
         mu = ring_measure(8, 0.3)
-        prob = VariationalProblem(mu, 1.0, volume_tol=1e-30, stationarity_tol=1e-30)
+        prob = VariationalProblem(mu, 1.0, stationarity_tol=1e-30)
         with pytest.raises(SolverStallError) as exc:
             solve_constrained(prob)
         assert len(exc.value.trace) > 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -647,6 +648,20 @@ class TestDiscreteMeasure:
     def test_non_planar_dimension_rejected(self):
         with pytest.raises(ValueError, match="planar"):
             DiscreteMeasure(3, np.eye(3), np.ones(3))
+
+    @pytest.mark.parametrize("rows", [np.eye(3), np.ones((4, 1)), np.zeros((0, 2)),
+                                      np.ones((2, 2, 2)), np.ones(3)],
+                             ids=["3-columns", "1-column", "no-rows", "3-d", "3-vector"])
+    def test_direction_shape_refused(self, rows):
+        # 3 columns raised "too many values to unpack" and 1 column, or no
+        # atoms, an IndexError
+        shape = re.escape(f"got shape {rows.shape}")
+        h = np.ones(len(rows))
+        for build in (lambda: wulff_shape(rows, h), lambda: SupportPolygon(rows, h),
+                      lambda: DiscreteMeasure(2, rows, h),
+                      lambda: support_profile(box_polygon(1.0), rows)):
+            with pytest.raises(ValueError, match=shape):
+                build()
 
     def test_evenness_detection(self):
         even = DiscreteMeasure(

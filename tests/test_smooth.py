@@ -221,12 +221,6 @@ class TestOptionsAndTrace:
         with pytest.raises(ValueError, match="outside the window"):
             solve_homotopy(f, 1.0, r_star=-1.0)
 
-    def test_step_certification(self):
-        with pytest.raises(ValueError):
-            HomotopyStep(0.5, 3, 1e-12, -0.1, 0.7)  # convexity lost
-        with pytest.raises(ValueError):
-            HomotopyStep(0.5, 3, 1e-12, 0.5, 0.4)  # volume certificate lost
-
     def test_nan_tolerance_refused(self):
         # every comparison with NaN is false, so `newton_tol <= 0` let it through
         with pytest.raises(ValueError, match="newton_tol must be positive"):
