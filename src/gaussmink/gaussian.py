@@ -244,6 +244,38 @@ def constant_field_density(r: float, p: float) -> float:
     return r ** (2.0 - p) * math.exp(-0.5 * r * r) / TWO_PI
 
 
+def constant_field_radius(c: float, p: float, lo: float, hi: float) -> float:
+    """Radius r in [lo, hi] with constant_field_density(r, p) = c.
+
+    [lo, hi] must lie on the branch r^2 >= 2 - p, where the density
+    decreases in r; c above the density at lo gives lo, below it at hi gives
+    hi.  Newton's method on g(r) = (2-p) ln r - r^2/2 - ln(2pi c), which
+    decreases with g'(r) = (2-p)/r - r, keeps a bracket of the root and
+    bisects it whenever a step would leave it.
+    """
+    target = math.log(TWO_PI * c)
+
+    def g(r: float) -> float:
+        return (2.0 - p) * math.log(r) - 0.5 * r * r - target
+
+    if g(hi) >= 0.0:
+        return hi
+    if g(lo) <= 0.0:
+        return lo
+    r = 0.5 * (lo + hi)
+    while lo < r < hi:  # ends when the step vanishes or the bracket closes
+        value = g(r)
+        if value > 0.0:
+            lo = r
+        else:
+            hi = r
+        nxt = r - value / ((2.0 - p) / r - r)
+        if nxt == r:
+            break
+        r = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return r
+
+
 def field_gauss_volume(field: SupportField) -> float:
     """Gaussian volume of the body with smooth support sample h.
 

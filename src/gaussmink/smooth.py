@@ -8,9 +8,11 @@ measure,
 
 to a prescribed positive density f, with D the periodic central difference.
 A homotopy f_t = (1-t) c0 + t f starts from the constant solution h = r0 on
-the branch whose ball has Gaussian volume above 1/2.  One damped Newton
-solve goes from it straight to t = 1; only when that solve stalls for a
-reason other than the rounding floor does the path restart from the
+the branch whose ball has Gaussian volume above 1/2.  By default r0 is the
+radius whose ball carries the mass of f (c0 = mean f), clamped to
+R_STAR_CEILING, so the path only adds the zero-mean part of f.  One damped
+Newton solve goes from it straight to t = 1; only when that solve stalls for
+a reason other than the rounding floor does the path restart from the
 constant start along the ladder T_LADDER, where a Newton solve that fails on
 a rung ends the solve.  The linearization at the constant
 start is the periodic operator D^2 + (2-p) - r0^2 up to a positive
@@ -32,11 +34,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import MassBoundError, RoundingFloorError, SolverStallError
 from .gaussian import (
     constant_field_density,
+    constant_field_radius,
     field_gauss_volume,
     gauss_constants,
     smooth_lp_density,
@@ -128,27 +131,30 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
 
     The wraparound corners J[0,n-1] = sub[0] and J[n-1,0] = sup[n-1] are
     split off as an outer product u v^T, and the Sherman-Morrison identity
-    restores them.  One solve_banded call solves the remaining band for the
-    right-hand sides and u together.
+    restores them.  One LAPACK gtsv call solves the remaining tridiagonal
+    system for the right-hand sides and u together.  A singular or
+    non-finite system raises SolverStallError.
     """
     n = len(diag)
     corner_top = sub[0]
     corner_bot = sup[n - 1]
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    band = np.zeros((3, n))
-    band[0, 1:] = sup[:-1]
-    band[1, :] = diag
-    band[1, 0] -= gamma
-    band[1, n - 1] -= corner_top * corner_bot / gamma
-    band[2, :-1] = sub[1:]
+    dl = np.array(sub[1:], dtype=float)
+    d = np.array(diag, dtype=float)
+    d[0] -= gamma
+    d[n - 1] -= corner_top * corner_bot / gamma
+    du = np.array(sup[:-1], dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    u = np.zeros(n)
-    u[0] = gamma
-    u[n - 1] = corner_bot
-    try:
-        solved = solve_banded((1, 1), band, np.column_stack([rhs, u]))
-    except (LinAlgError, ValueError) as exc:
-        raise SolverStallError("singular cyclic-tridiagonal system") from exc
+    columns = np.zeros((n, rhs.size // n + 1), order="F")
+    columns[:, :-1] = rhs.reshape(n, -1)
+    columns[0, -1] = gamma
+    columns[n - 1, -1] = corner_bot
+    if not all(np.isfinite(a).all() for a in (dl, d, du, columns)):
+        raise SolverStallError("non-finite cyclic-tridiagonal system")
+    *_, solved, info = dgtsv(dl, d, du, columns, overwrite_dl=1, overwrite_d=1,
+                             overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise SolverStallError("singular cyclic-tridiagonal system")
     y, q = solved[:, :-1], solved[:, -1]
     denom = 1.0 + q[0] + corner_top / gamma * q[n - 1]
     correction = (y[0] + corner_top / gamma * y[n - 1]) / denom
@@ -327,7 +333,8 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     the floor at p = 0.1, 0.2 and 0.3.  A stall at the floor raises
     RoundingFloorError naming a reachable tolerance; a stall of the ladder
     raises SolverStallError naming the rung.  r_star overrides the radius of
-    the constant start, the midpoint of its window by default; a value
+    the constant start, by default the radius whose ball has the constant
+    density mean(f), or R_STAR_CEILING for lighter densities; a value
     outside the window (branch floor + 1e-6, R_STAR_CEILING] raises
     ValueError.
     """
@@ -344,7 +351,8 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got p = {p:g}")
 
-    total_mass = TWO_PI * float(np.mean(f))
+    level = float(np.mean(f))
+    total_mass = TWO_PI * level
     constants = gauss_constants(2, p)
     if total_mass >= constants.mass_bound:
         raise MassBoundError(
@@ -354,11 +362,14 @@ def solve_homotopy(f, p: float, *, newton_tol: float = 1e-11,
     even = float(np.max(np.abs(f - np.roll(f, n // 2)))) <= 1e-12 * float(np.max(f))
     flags = certificate_flags(p, even, total_mass)
 
-    # constant start: the midpoint of the window (branch floor + 1e-6, ceiling];
-    # the margin keeps off the fold r0^2 = 2 - p, near which (up to about
-    # 2e-7 above it) the first rung's Newton solve stalls
+    # constant start: by default the radius whose ball carries the mass of f,
+    # clamped to the ceiling; the window (branch floor + 1e-6, ceiling] keeps
+    # off the fold r0^2 = 2 - p, near which (up to about 2e-7 above it) the
+    # first rung's Newton solve stalls.  Below the mass bound the matched
+    # radius lies inside it: mass_bound is at most 0.62 times the mass
+    # 2pi c0 of the ball at the window floor, for p from 0.01 to 100
     floor = max(constants.r_half, math.sqrt(2.0 - p)) if p < 2.0 else constants.r_half
-    r0 = floor + 0.5 * (R_STAR_CEILING - floor) if r_star is None else r_star
+    r0 = constant_field_radius(level, p, floor, R_STAR_CEILING) if r_star is None else r_star
     if not floor + 1e-6 < r0 <= R_STAR_CEILING:
         raise ValueError(
             f"r_star = {r0:g} lies outside the window of constant starts "

@@ -154,8 +154,9 @@ def test_two_homotopy_starts_reach_the_same_body():
 
 
 def test_default_start_matches_another_start():
-    # the default start r0 = 2.0887 has r0^2 = (2 - p) + 2^2 here: the
-    # eigenvalue (2 - p) - r0^2 - k^2 of mode k = 2 is -8, not 0, and the
+    # p puts the window midpoint 2.0887 at r0^2 = (2 - p) + 2^2, where the
+    # eigenvalue (2 - p) - r0^2 - k^2 of mode k = 2 is -8, not 0; the default
+    # start is now the ball carrying the mass of f, r0 = 1.7072, and the
     # solve from it reaches the body of another start in the window
     start = time.monotonic()
     p = 1.6373113759468145

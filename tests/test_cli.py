@@ -725,8 +725,8 @@ class TestSolveSmoothCommand:
     # sha256 of the --output field file, iterations=, homotopy_steps=
     PINNED_COS_256 = {
         "1": ("dd1a2107bec8b590d06cd642a87f854f4497d1853d9918ea3391980581d52d90", 5, 2),
-        "1.5": ("bb175911e60561d30e1e9dc1314e7945268be5606fa32b996b361e648fde4dd9", 5, 2),
-        "2": ("7561c2b818a918f48f81cd4afb26b9546058a9c13bd93acec2c35f80a9e3e4b5", 5, 2),
+        "1.5": ("bb175911e60561d30e1e9dc1314e7945268be5606fa32b996b361e648fde4dd9", 4, 2),
+        "2": ("7561c2b818a918f48f81cd4afb26b9546058a9c13bd93acec2c35f80a9e3e4b5", 4, 2),
     }
 
     @pytest.mark.parametrize("p", sorted(PINNED_COS_256))

@@ -48,13 +48,20 @@ CONSTANT_CASES = {
 }
 
 
+def window_midpoint(p):
+    """Midpoint of the window of constant starts: a start away from the answer."""
+    r_half = gauss_constants(2, p).r_half
+    floor = max(r_half, math.sqrt(2.0 - p)) if p < 2.0 else r_half
+    return floor + 0.5 * (smooth.R_STAR_CEILING - floor)
+
+
 class TestConstantSolves:
     @pytest.mark.parametrize("n", [64, 256, 4096])
     @pytest.mark.parametrize("case", CONSTANT_CASES)
     def test_solution_is_the_closed_form_ball(self, case, n):
         # the solve starts from the window midpoint, not from this radius
         c0, p, radius, volume = CONSTANT_CASES[case]
-        report = solve_homotopy(np.full(n, c0), p)
+        report = solve_homotopy(np.full(n, c0), p, r_star=window_midpoint(p))
         h = report.body.h
         assert np.ptp(h) == 0.0
         assert h[0] == pytest.approx(radius, rel=1e-10)
@@ -63,12 +70,14 @@ class TestConstantSolves:
     @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_constant_density_gives_a_flat_field(self, p, n):
-        # flat to rounding, not exactly: 5 of these 240 fields have
-        # np.ptp(h) > 0, the largest 0.93 eps max(h)
+        # exactly flat: the default start is the ball that carries the
+        # density's mass, whose residual is at rounding level, so at most the
+        # final trial step moves h; a density lighter than the ceiling ball's
+        # starts from that ball instead
         level = gauss_constants(2, p).mass_bound / TWO_PI
         for fraction in np.linspace(0.1, 0.95, 12):
             h = solve_homotopy(np.full(n, fraction * level), p).body.h
-            assert np.ptp(h) <= np.finfo(float).eps * np.max(h)
+            assert np.ptp(h) == 0.0
 
 
 class TestLinearizedGuard:
@@ -156,6 +165,15 @@ class TestJacobian:
         np.testing.assert_allclose(xs, np.linalg.solve(J, stacked), atol=1e-12)
         assert np.array_equal(xs[:, 0], x)
 
+    @pytest.mark.parametrize("bands", [
+        (np.ones(64), np.full(64, -2.0), np.ones(64)),  # periodic D^2: constants
+        (np.zeros(64), np.zeros(64), np.zeros(64)),      # the zero matrix
+        (np.ones(64), np.r_[np.nan, np.full(63, -3.0)], np.ones(64)),
+    ], ids=["singular", "zero", "nan"])
+    def test_singular_or_nan_system_raises(self, bands):
+        with pytest.raises(SolverStallError, match="cyclic-tridiagonal system"):
+            solve_cyclic_tridiagonal(*bands, np.arange(64.0))
+
     def test_constant_field_spectrum(self):
         # at h = r0 the scaled Jacobian is circulant with symbol
         # (2 - p) - r0^2 - k^2 (discrete Laplacian modes)
@@ -236,11 +254,13 @@ class TestSolveHomotopy:
         np.testing.assert_allclose(rep.body.h, 2.0, atol=1e-14)
 
     def test_start_takes_no_newton_step(self):
-        # at p = 0.5 the start's residual is rounding (about 7e-18), above
-        # this newton_tol, yet t = 0 is recorded without a Newton step and
-        # the first stall is in the direct solve at t = 1
+        # from the window midpoint at p = 0.5 the start's residual is
+        # rounding (about 7e-18), above this newton_tol, yet t = 0 is
+        # recorded without a Newton step and the first stall is in the
+        # direct solve at t = 1
         with pytest.raises(RoundingFloorError) as info:
-            solve_homotopy(cos_density(256, 0.02, 0.2, 2), 0.5, newton_tol=1e-300)
+            solve_homotopy(cos_density(256, 0.02, 0.2, 2), 0.5, newton_tol=1e-300,
+                           r_star=window_midpoint(0.5))
         [start] = info.value.trace
         assert (start.t, start.newton_iters) == (0.0, 0)
         assert start.residual > 1e-300
@@ -255,8 +275,8 @@ class TestSolveHomotopy:
         # every residual call is on a new (field, target) pair: the damping
         # loop's residual of the accepted step is reused for the tolerance
         # check, the next Newton step and the trace record.  Rejected trials
-        # add one call each: at p = 2 the first full step is halved once and
-        # the final trial past the tolerance is not kept
+        # add one call each: at p = 2 the final trial past the tolerance is
+        # not kept
         seen = []
 
         def recording(field, f, q):
@@ -268,7 +288,7 @@ class TestSolveHomotopy:
         rep = solve_homotopy(cos_density(256, 0.045, 0.2, 2), p)
         assert rep.stationarity_residual <= 1e-9
         assert [s.t for s in rep.homotopy_trace] == [0.0, 1.0]
-        rejected = {1.0: 0, 2.0: 2}[p]
+        rejected = {1.0: 0, 2.0: 1}[p]
         assert len(seen) == 1 + (len(rep.homotopy_trace) - 1) + rep.iterations + rejected
 
     def test_newton_stops_at_its_iteration_limit(self, monkeypatch):
